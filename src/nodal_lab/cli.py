@@ -161,9 +161,11 @@ def cmd_radial(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = {"N": n_dim, "q": q, "version": __version__}
 
-    m_r = radial.m_radial(n_dim, q)
-    payload["m_r"] = m_r
     profile = radial.shoot_neumann(q, n_dim, tol=args.tol)
+    # the shot profile does not depend on tol, so for q > 1 its energy is
+    # exactly m_radial(n_dim, q); q = 1 keeps the closed form
+    m_r = radial.m_radial(n_dim, q) if q == 1.0 else radial.profile_energy(profile)
+    payload["m_r"] = m_r
     payload["shoot"] = {
         "u0": float(profile.u[0]),
         "du_at_1": float(profile.du[-1]),

@@ -148,6 +148,41 @@ def closed_form_q1(n_dim: int, r=None, n_samples: int = 8192) -> RadialProfile:
 
 # -- shooting -----------------------------------------------------------------
 
+_S_MAX = 1e3             # unit-profile horizon; its s* is O(1-10) for 1 <= q < 2
+
+
+def _check_problem(q: float, n_dim: int) -> None:
+    if not 1.0 <= q < 2.0:
+        raise ValueError(f"q-out-of-range: need 1 <= q < 2, got {q}")
+    if n_dim < 2:
+        raise ValueError("unsupported-N: need N >= 2")
+
+
+def _radial_ode(q: float, n_dim: int, u0: float):
+    """Right-hand side of the first-order system and the regular-branch
+    state at the inner cutoff, u ~ u0 - |u0|^{q-2} u0 r^2/(2N)."""
+    f = _f_sublinear(q)
+    nn = float(n_dim)
+
+    def rhs(r, y):
+        return [y[1], -(nn - 1.0) / r * y[1] - f(y[0])]
+
+    f0 = float(f(np.asarray(u0)))
+    return rhs, [u0 - f0 * _R_START * _R_START / (2.0 * nn), -f0 * _R_START / nn]
+
+
+def _crossing(r, y):
+    return y[0]
+_crossing.terminal = True
+_crossing.direction = 0
+
+
+def _critical(r, y):
+    return y[1]
+_critical.terminal = True
+_critical.direction = 1     # u' rises through 0: the trough after the crossing
+
+
 def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
           n_samples: int = 4096, max_segments: int = 256) -> RadialProfile:
     """Integrate the radial equation from the regular branch at the center.
@@ -155,37 +190,25 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
     Starts at r = 1e-8 with the series u ~ u0 - |u0|^{q-2} u0 r^2/(2N),
     integrates segment-by-segment between sign changes (the q = 1 forcing is
     piecewise constant, so adaptive steps stay smooth), and samples the
-    dense output on a uniform grid together with the crossing radii.
+    dense output on a uniform grid together with the crossing radii.  The
+    absolute tolerance scales with |u0|, so profiles of tiny amplitude (the
+    Neumann amplitude near q = 2) are resolved as well as unit ones.
     """
-    if not 1.0 <= q < 2.0:
-        raise ValueError(f"q-out-of-range: need 1 <= q < 2, got {q}")
-    if n_dim < 2:
-        raise ValueError("unsupported-N: need N >= 2")
+    _check_problem(q, n_dim)
     if u0 == 0.0:
         raise ValueError("shooting needs u0 != 0")
     if u0 < 0.0:
         p = shoot(q, n_dim, -u0, ode_tol, n_samples, max_segments)
         return RadialProfile(n_dim=n_dim, q=q, r=p.r, u=-p.u, du=-p.du, tol=p.tol)
 
-    f = _f_sublinear(q)
-    nn = float(n_dim)
-
-    def rhs(r, y):
-        return [y[1], -(nn - 1.0) / r * y[1] - f(y[0])]
-
-    def crossing(r, y):
-        return y[0]
-    crossing.terminal = True
-    crossing.direction = 0
-
+    rhs, y = _radial_ode(q, n_dim, u0)
     r0 = _R_START
-    f0 = float(f(np.asarray(u0)))
-    y = [u0 - f0 * r0 * r0 / (2.0 * nn), -f0 * r0 / nn]
     segments = []
     r_lo = r0
     for _ in range(max_segments):
         sol = solve_ivp(rhs, (r_lo, 1.0), y, method="RK45", rtol=ode_tol,
-                        atol=ode_tol * 1e-2, dense_output=True, events=crossing)
+                        atol=ode_tol * 1e-2 * u0, dense_output=True,
+                        events=_crossing)
         if not sol.success:
             raise RuntimeError(f"tolerance-not-met: integrator failed: {sol.message}")
         segments.append((r_lo, sol.t[-1], sol.sol))
@@ -215,80 +238,40 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
 
 
 def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8,
-                  bracket: tuple[float, float] = (1e-7, 1e3),
                   n_samples: int = 4096) -> RadialProfile:
-    """Adjust the center value u0 > 0 by bisection until u'(1) = 0 within
-    tol, restricted to profiles with exactly one interior sign change.
+    """Radial solution with u'(0) = u'(1) = 0 and exactly one interior sign
+    change, from the scaling law instead of a search.
 
-    The Neumann amplitude scales like z^{-2/(2-q)} for a profile whose unit
-    crossing radius is z, so it leaves any fixed bracket as q approaches 2;
-    pass a custom bracket for exponents beyond ~1.8.
+    The nonlinearity is homogeneous of degree q - 1, so u(r) = mu v(mu^{(q-2)/2} r)
+    solves the equation whenever v does.  The unit profile v(0) = 1 is
+    integrated once, split at its first zero, up to its first critical point
+    s* after that zero; u'(1) = 0 then fixes the center value
+    u0 = s*^{-2/(2-q)}, and the profile is shot from u0.  Raises
+    tolerance-not-met if |u'(1)| > tol and no-sign-change-in-bracket if the
+    unit profile has no such critical point or the shot profile does not
+    change sign exactly once.
     """
-    lo, hi = bracket
-
-    def probe(u0, ode_tol=1e-6):
-        # oscillatory center values throw; they are outside the window of
-        # interest anyway (single-crossing profiles only)
-        try:
-            p = shoot(q, n_dim, u0, ode_tol=ode_tol, n_samples=32,
-                      max_segments=6)
-        except RuntimeError:
-            return float("nan"), 10**6
-        return float(p.du[-1]), p.sign_changes()
-
-    grid = np.geomspace(lo, hi, 48)
-    vals = [probe(u0) for u0 in grid]
-    counts = [v[1] for v in vals]
-    b_lo = b_hi = d_lo = None
-    # fast path: adjacent single-crossing scan points with a derivative flip
-    for i in range(len(grid) - 1):
-        if counts[i] == 1 and counts[i + 1] == 1 \
-                and vals[i][0] * vals[i + 1][0] <= 0.0:
-            b_lo, b_hi, d_lo = grid[i], grid[i + 1], vals[i][0]
-            break
-    if b_lo is None:
-        # the single-crossing window is narrower than the scan spacing:
-        # bisect its edges on the crossing count, then bracket the flip
-        ones = [i for i, c in enumerate(counts) if c == 1]
-        if not ones:
-            raise RuntimeError("no-sign-change-in-bracket: no single-crossing "
-                               "profile in bracket")
-        i1, i2 = ones[0], ones[-1]
-        a, b = grid[i2], grid[min(i2 + 1, len(grid) - 1)]
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if probe(m)[1] == 1:
-                a = m
-            else:
-                b = m
-        w_hi = a
-        a, b = grid[max(i1 - 1, 0)], grid[i1]
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if probe(m)[1] == 1:
-                b = m
-            else:
-                a = m
-        w_lo = b
-        d_a, _ = probe(w_lo)
-        d_b, _ = probe(w_hi)
-        if not (np.isfinite(d_a) and np.isfinite(d_b)) or d_a * d_b > 0.0:
-            raise RuntimeError("no-sign-change-in-bracket: derivative keeps "
-                               "its sign over the single-crossing window")
-        b_lo, b_hi, d_lo = w_lo, w_hi, d_a
-    for _ in range(100):
-        mid = 0.5 * (b_lo + b_hi)
-        d_mid, _ = probe(mid, ode_tol=1e-10)
-        if abs(d_mid) <= 0.2 * tol or (b_hi - b_lo) <= 1e-14 * mid:
-            break
-        if d_mid * d_lo > 0:
-            b_lo, d_lo = mid, d_mid
-        else:
-            b_hi = mid
-    profile = shoot(q, n_dim, 0.5 * (b_lo + b_hi), ode_tol=1e-10,
-                    n_samples=n_samples)
+    _check_problem(q, n_dim)
+    rhs, y = _radial_ode(q, n_dim, 1.0)
+    # eighth order: u0 inherits the relative error of s* times 2/(2-q), and
+    # at equal cost DOP853 pins s* 10-100 times closer than RK45
+    unit = solve_ivp(rhs, (_R_START, _S_MAX), y, method="DOP853", rtol=1e-10,
+                     atol=1e-12, events=_crossing)
+    if unit.status == 1:
+        z, dz = float(unit.t[-1]), float(unit.y[1, -1])
+        # restart past the zero with the flipped sign, as in shoot
+        unit = solve_ivp(rhs, (np.nextafter(z, _S_MAX), _S_MAX), [dz * 1e-300, dz],
+                         method="DOP853", rtol=1e-10, atol=1e-12, events=_critical)
+    if unit.status != 1:
+        raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
+                           f"zero and trough before r = {_S_MAX:g}")
+    u0 = float(unit.t[-1]) ** (-2.0 / (2.0 - q))
+    profile = shoot(q, n_dim, u0, ode_tol=1e-10, n_samples=n_samples)
     if abs(float(profile.du[-1])) > tol:
         raise RuntimeError(f"tolerance-not-met: |u'(1)| = {abs(float(profile.du[-1])):.3e}")
+    if profile.sign_changes() != 1:
+        raise RuntimeError("no-sign-change-in-bracket: the Neumann profile "
+                           f"changes sign {profile.sign_changes()} times")
     profile.tol = tol
     return profile
 
@@ -395,10 +378,7 @@ def m_radial(n_dim: int, q: float, tol: float = 1e-9) -> float:
     -(omega_N/2)((2^{-2/N}-1)N + 2^{1-2/N})/((N-2)(N+2)) for N >= 3.
     q > 1 integrates the energy of the shot two-domain profile.
     """
-    if n_dim < 2:
-        raise ValueError("unsupported-N: need N >= 2")
-    if not 1.0 <= q < 2.0:
-        raise ValueError(f"q-out-of-range: need 1 <= q < 2, got {q}")
+    _check_problem(q, n_dim)
     if q == 1.0:
         if n_dim == 2:
             return -math.pi * (-1.0 / 16.0 + math.log(2.0) / 8.0)

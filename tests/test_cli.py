@@ -90,6 +90,7 @@ def test_radial_command_q15(tmp_path):
     report = json.loads((out / "radial_report.json").read_text())
     assert abs(report["shoot"]["du_at_1"]) <= 1e-8
     assert report["shoot"]["sign_changes"] == 1
+    assert report["m_r"] == rad.m_radial(2, 1.5)
 
 
 def test_bounds_command(tmp_path, capsys):

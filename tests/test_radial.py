@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 from nodal_lab import radial as rad
 
@@ -147,6 +150,36 @@ def test_shoot_neumann_q_above_one():
     assert p.sign_changes() == 1
     assert abs(p.du[-1]) <= 1e-8
     assert rad.profile_energy(p) < 0.0
+
+
+@pytest.mark.parametrize("n_dim", (2, 3, 5, 8, 10))
+def test_shoot_neumann_near_q_two(n_dim):
+    # the Neumann amplitude is 4e-12 to 1e-18 here: far outside any fixed
+    # search bracket, and at N >= 8 below an unscaled absolute ODE tolerance
+    p = rad.shoot_neumann(1.9, n_dim)
+    assert p.sign_changes() == 1
+    assert abs(p.du[-1]) <= 1e-8
+
+
+def test_shoot_neumann_center_value_n2():
+    assert rad.shoot_neumann(1.0, 2).u[0] == pytest.approx(0.125, abs=1e-9)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(q=st.floats(1.0, 1.9), log_mu=st.floats(-3.0, 2.0),
+       n_dim=st.integers(2, 5))
+def test_shoot_scaling_law(q, log_mu, n_dim):
+    # u(r) = mu v(mu^{(q-2)/2} r).  Compare the larger-amplitude profile on
+    # (0, 1] with the smaller one rescaled by lam = hi/lo, whose radii
+    # lam^{(q-2)/2} r then stay in (0, 1]; the Hermite interpolant uses the
+    # stored u' and has the crossing radii as knots
+    lo, hi = sorted((10.0 ** log_mu, 1.0))
+    lam = hi / lo
+    big = rad.shoot(q, n_dim, hi)
+    small = rad.shoot(q, n_dim, lo)
+    v = CubicHermiteSpline(small.r, small.u, small.du)
+    pred = lam * v(np.maximum(lam ** ((q - 2.0) / 2.0) * big.r, small.r[0]))
+    assert np.max(np.abs(big.u - pred)) <= 1e-8 * np.max(np.abs(big.u))
 
 
 def test_m_radial_closed_forms():
