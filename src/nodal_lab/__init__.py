@@ -16,8 +16,8 @@ _EXPORTS = {
                  "dirichlet_energy", "edge_form", "laplacian", "reflect",
                  "polarize", "angular_profiles", "gradient_magnitude",
                  "write_field_csv", "read_field_csv", "grid_from_dict"],
-    "functional": ["ProblemSpec", "ConstraintCheck", "energy",
-                   "energy_gradient", "t_star", "c_shift", "in_constraint",
+    "functional": ["ProblemSpec", "ConstraintCheck", "abs_power_integral",
+                   "energy", "energy_gradient", "t_star", "c_shift", "in_constraint",
                    "max_shift_property_check", "hessian_form",
                    "rescale_bump", "to_porous_medium"],
     "minimize": ["SolveConfig", "SolveReport", "project", "minimize_energy",

@@ -21,8 +21,8 @@ from . import geometry
 from .geometry import Grid
 
 __all__ = [
-    "ProblemSpec", "ConstraintCheck", "energy", "energy_gradient",
-    "signed_power", "t_star", "c_shift", "in_constraint",
+    "ProblemSpec", "ConstraintCheck", "abs_power_integral", "energy",
+    "energy_gradient", "signed_power", "t_star", "c_shift", "in_constraint",
     "max_shift_property_check", "hessian_form", "rescale_bump",
     "to_porous_medium",
 ]
@@ -53,14 +53,16 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
 
 
+def abs_power_integral(spec: ProblemSpec, u: np.ndarray) -> float:
+    """integrate(|u|^q), with |u| itself at q = 1."""
+    return geometry.integrate(spec.grid, np.abs(u) if spec.sublinear_q1
+                              else np.abs(u) ** spec.q)
+
+
 def energy(spec: ProblemSpec, u: np.ndarray) -> float:
     """phi(u) = 1/2 dirichlet_energy(u) - (1/q) integrate(|u|^q)."""
-    g = spec.grid
-    if spec.sublinear_q1:
-        bulk = geometry.integrate(g, np.abs(u))
-    else:
-        bulk = geometry.integrate(g, np.abs(u) ** spec.q) / spec.q
-    return 0.5 * geometry.dirichlet_energy(g, u) - bulk
+    return (0.5 * geometry.dirichlet_energy(spec.grid, u)
+            - abs_power_integral(spec, u) / spec.q)
 
 
 def energy_gradient(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
@@ -79,11 +81,7 @@ def t_star(spec: ProblemSpec, u: np.ndarray) -> float:
     d = geometry.dirichlet_energy(g, u)
     if d <= 0.0:
         raise ValueError("zero-gradient-field: t* needs dirichlet_energy(u) > 0")
-    if spec.sublinear_q1:
-        num = geometry.integrate(g, np.abs(u))
-    else:
-        num = geometry.integrate(g, np.abs(u) ** spec.q)
-    return (num / d) ** (1.0 / (2.0 - spec.q))
+    return (abs_power_integral(spec, u) / d) ** (1.0 / (2.0 - spec.q))
 
 
 # -- feasible shift ----------------------------------------------------------
@@ -139,8 +137,14 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
     """The unique constant c making u + c feasible.
 
     q > 1: root of the strictly increasing map c -> int |u+c|^{q-2}(u+c),
-    bracketed by [-max u, -min u] and solved by bisection (the integrand has
-    unbounded slope near node zeros, so Newton is not safe here).
+    bracketed by [-max u, -min u] and solved by Illinois regula falsi
+    (secant steps on the sign-change bracket, halving the value kept at a
+    stale endpoint; Newton is not safe here because the integrand has
+    unbounded slope near node zeros).  A secant point outside the open
+    bracket falls back to the bracket midpoint.  The first point with
+    residual below 1e-3 tol |Omega| is returned; failing that, after 200
+    steps or once the bracket ends are adjacent doubles, the end with the
+    smaller residual is, with a RuntimeWarning if that is above tolerance.
     q = 1: negative weighted median, median-interval midpoints resolved as
     in _weighted_median_shift.
     """
@@ -154,25 +158,37 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
     flo = _signed_mean(g, u, spec.q, lo)
     if flo == 0.0:
         return lo
-    # F(lo) <= 0 <= F(hi); keep the sign-change bracket and bisect.  Stop
-    # early once the residual sits three decades under the target tolerance.
+    fhi = _signed_mean(g, u, spec.q, hi)
+    if fhi == 0.0:
+        return hi
+    # F(lo) < 0 < F(hi); keep the sign-change bracket.  Stop early once the
+    # residual sits three decades under the target tolerance.  glo and ghi
+    # are the endpoint values the secant uses: Illinois halves the one at an
+    # endpoint that stays put for a second step in a row.
     early = 1e-3 * tol * g.domain.measure
+    glo, ghi, side = flo, fhi, 0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = _signed_mean(g, u, spec.q, mid)
-        if abs(fm) <= early:
-            return mid
-        if fm < 0.0:
-            lo = mid
+        c = hi - ghi * (hi - lo) / (ghi - glo)
+        if not lo < c < hi:
+            c = 0.5 * (lo + hi)
+            if not lo < c < hi:
+                break                   # lo and hi are adjacent doubles
+        fc = _signed_mean(g, u, spec.q, c)
+        if abs(fc) <= early:
+            return c
+        if fc < 0.0:
+            lo, flo, glo = c, fc, fc
+            if side < 0:
+                ghi *= 0.5
+            side = -1
         else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, abs(lo), abs(hi)):
-            break
-    c = 0.5 * (lo + hi)
-    if abs(_signed_mean(g, u, spec.q, c)) > tol * max(
-            g.domain.measure, float(np.dot(g.weights, np.abs(u + c) ** (spec.q - 1.0)))):
+            hi, fhi, ghi = c, fc, fc
+            if side > 0:
+                glo *= 0.5
+            side = 1
+    c, fc = (lo, flo) if -flo <= fhi else (hi, fhi)
+    if abs(fc) > tol * max(g.domain.measure,
+                           float(np.dot(g.weights, np.abs(u + c) ** (spec.q - 1.0)))):
         warnings.warn("c_shift residual above tolerance", RuntimeWarning)
     return c
 

@@ -4,6 +4,9 @@ and exponent continuation.
 Each iterate is re-projected onto the feasible set by the shift-then-scale
 map (feasible shift c(u), then the ray minimizer t*), so every accepted
 iterate is feasible and its energy is a valid upper bound for the infimum.
+The energy of a projected field is in closed form in its two integrals
+(the Dirichlet energy and int |v|^q of the shifted field), so the projection
+returns it without a separate energy evaluation.
 The descent direction is the gradient of the energy in a selectable inner
 product; the default "h1" metric (stiffness plus mass) preconditions away
 the mesh-dependent stiffness of the plain quadrature-weighted gradient and
@@ -15,9 +18,7 @@ trace is monotone by construction.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,15 +105,25 @@ def _constraint_name(spec: ProblemSpec) -> str:
     return "sign-balance" if spec.sublinear_q1 else "signed-mean-zero"
 
 
-def project(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Feasible point from an arbitrary field: shift by c(u), then scale by
-    the ray minimizer t* when the shifted field has positive Dirichlet
-    energy (constants project to the zero field)."""
+def project(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Feasible point from an arbitrary field, with its energy.
+
+    Shifts by c(u), then scales v = u + c(u) by the ray minimizer
+    t* = (A / D)^{1/(2-q)}, where A = int |v|^q and D is the Dirichlet
+    energy of v.  The energy at t* v is then in closed form,
+    phi = -(2-q)/(2q) A t*^q = -(2-q)/(2q) A^{2/(2-q)} / D^{q/(2-q)}, so one
+    gather and one array power serve both.  Constants project to the zero
+    field.
+    """
     u = np.asarray(u, dtype=float)
+    g, q = spec.grid, spec.q
     v = u + functional.c_shift(spec, u)
-    if geometry.dirichlet_energy(spec.grid, v) > 0.0:
-        return functional.t_star(spec, v) * v
-    return np.zeros_like(v)
+    d = geometry.dirichlet_energy(g, v)
+    if d <= 0.0:
+        return np.zeros_like(v), 0.0
+    a = functional.abs_power_integral(spec, v)
+    t = (a / d) ** (1.0 / (2.0 - q))
+    return t * v, -(2.0 - q) / (2.0 * q) * a * t ** q
 
 
 def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
@@ -166,8 +177,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     u = _initial_field(spec, config.recipe, rng, u0)
     if float(np.max(u) - np.min(u)) == 0.0:
         u = _smooth_noise(spec, rng)      # degenerate start: re-seed randomly
-    u = project(spec, u)
-    phi = functional.energy(spec, u)
+    u, phi = project(spec, u)
     trace = [phi]
     eta = config.step0
     eta_floor = 1e-14 * config.step0
@@ -201,8 +211,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         prev_u, prev_d = u, d
         accepted = False
         while eta >= eta_floor:
-            trial = project(spec, u - eta * d)
-            phi_t = functional.energy(spec, trial)
+            trial, phi_t = project(spec, u - eta * d)
             if phi_t <= phi - config.armijo * eta * slope:
                 accepted = True
                 break
@@ -243,14 +252,9 @@ def _run_start(spec: ProblemSpec, config: SolveConfig, idx: int) -> SolveReport:
 def multistart(spec: ProblemSpec, config: SolveConfig) -> SolveReport:
     """Run config.starts independent descents (the dipole recipe first, then
     seeded random starts) and return the lowest-energy report; deterministic
-    for a fixed seed regardless of thread count (NODAL_LAB_THREADS)."""
+    for a fixed seed."""
     k = config.starts
-    threads = max(1, int(os.environ.get("NODAL_LAB_THREADS", "1")))
-    if threads > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, k)) as pool:
-            reports = list(pool.map(lambda i: _run_start(spec, config, i), range(k)))
-    else:
-        reports = [_run_start(spec, config, i) for i in range(k)]
+    reports = [_run_start(spec, config, i) for i in range(k)]
     order = sorted(range(k), key=lambda i: (reports[i].energy, i))
     best = reports[order[0]]
     best.near_best = [

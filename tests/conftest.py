@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nodal_lab import functional, geometry, minimize
 
@@ -47,3 +48,23 @@ def polar_coords(grid):
     r = np.hypot(grid.coords[:, 0], grid.coords[:, 1])
     th = np.arctan2(grid.coords[:, 1], grid.coords[:, 0])
     return r, th
+
+
+# Property tests draw fields on a coarse interval grid, which keeps their
+# reference computations cheap
+PROP_GRID = geometry.build_grid(geometry.DomainSpec.interval(1.0), 257)
+
+
+@st.composite
+def property_fields(draw):
+    """Standard normal nodal values; the same with a share of the nodes set
+    to exactly 0; or a nearly constant field, an offset plus a spread of
+    1e-6 to 1e-1 times the same values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(PROP_GRID.n_nodes)
+    kind = draw(st.sampled_from(("normal", "zeros", "flat")))
+    if kind == "zeros":
+        u[rng.random(u.size) < draw(st.floats(0.1, 0.9))] = 0.0
+    elif kind == "flat":
+        u = draw(st.floats(-10.0, 10.0)) + 10.0 ** draw(st.floats(-6.0, -1.0)) * u
+    return u

@@ -156,7 +156,7 @@ def test_criterion_08_projection_contracts(interval_grid):
             worst_res = max(worst_res, abs(functional._signed_mean(
                 interval_grid, u, q, c)))
         for _ in range(10):
-            u = minimize.project(spec, rng.standard_normal(interval_grid.n_nodes))
+            u, _ = minimize.project(spec, rng.standard_normal(interval_grid.n_nodes))
             shift_ok &= functional.max_shift_property_check(
                 spec, u, np.linspace(-1.0, 1.0, 50))
     p1 = functional.ProblemSpec(interval_grid, 1.0)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,23 @@ def test_solve_deterministic_bytes(tmp_path):
     for name in ("report.json", "field.csv", "diagnostics.json", "zero_curve.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_solve_leaves_scipy_optimize_unimported(tmp_path):
+    # importing scipy.optimize adds about 0.25 s and 50 MiB to a fresh
+    # process; the grid solve path must not pull it in.  A child process,
+    # because this module imports radial, and scipy.integrate with it
+    child = ("import sys\n"
+             "from nodal_lab.cli import main\n"
+             "rc = main(['solve', '--domain', 'disc', '--q', '1.5', '--nr', '16',\n"
+             f"           '--ntheta', '32', '--starts', '1', '--out', {str(tmp_path)!r}])\n"
+             "print(rc, 'scipy.optimize' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_radial_command(tmp_path, capsys):

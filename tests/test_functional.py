@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodal_lab import functional as fn
 from nodal_lab import geometry as geo
 
-from conftest import polar_coords, smooth_random_field
+from conftest import PROP_GRID, polar_coords, property_fields, smooth_random_field
 
 
 def test_problem_spec_validation(disc_grid):
@@ -156,6 +159,63 @@ def test_c_shift_continuity(interval_grid):
     gaps = [abs(fn.c_shift(spec, u + eps * h) - c0) for eps in (1e-2, 1e-4, 1e-6)]
     assert gaps[0] >= gaps[1] >= gaps[2] - 1e-12
     assert gaps[2] <= 1e-4
+
+
+def reference_shift(grid, u, q):
+    """Plain bisection of c -> int |u+c|^{q-2}(u+c) on [-max u, -min u],
+    run until the bracket ends are adjacent doubles."""
+    lo, hi = -float(np.max(u)), -float(np.min(u))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if fn._signed_mean(grid, u, q, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.floats(1.01, 1.99), u=property_fields())
+def test_c_shift_matches_reference_bisection(q, u):
+    g = PROP_GRID
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = fn.c_shift(fn.ProblemSpec(g, q), u)
+    warned = any("c_shift residual" in str(w.message) for w in caught)
+    ref = reference_shift(g, u, q)
+    # c_shift may stop once |F(c)| <= 1e-13 |Omega| (its early stop), which
+    # leaves c uncertain by that over the slope F'; near the root F is also
+    # only resolved to a few doubles
+    dist = np.abs(u + ref)
+    nz = dist > 0.0
+    slope = (q - 1.0) * float(np.dot(g.weights[nz], dist[nz] ** (q - 2.0)))
+    slack = (1e-12 * float(np.max(u) - np.min(u)) + 1e-13 * g.domain.measure / slope
+             + 4.0 * np.spacing(abs(ref)))
+    assert abs(c - ref) <= slack
+    # the residual meets c_shift's own bound, or c_shift warns that it does
+    # not: near q = 1 the root can sit closer to a node value than doubles
+    # resolve, so that no double meets the bound, or so close to a plateau
+    # of exact zeros that 200 steps do not reach it
+    residual = abs(fn._signed_mean(g, u, q, c))
+    bound = 1e-10 * max(g.domain.measure,
+                        float(np.dot(g.weights, np.abs(u + c) ** (q - 1.0))))
+    assert (residual > bound) == warned
+
+
+def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):
+    # the dipole field has nodes within 1e-16 of the root, where F has
+    # unbounded slope; bisection took 60 evaluations here
+    calls = []
+    signed_mean = fn._signed_mean
+
+    def counted(*args):
+        calls.append(args)
+        return signed_mean(*args)
+
+    monkeypatch.setattr(fn, "_signed_mean", counted)
+    fn.c_shift(fn.ProblemSpec(disc_grid, 1.5), disc_grid.x1)
+    assert len(calls) <= 12
 
 
 def test_in_constraint_examples(interval_grid, disc_grid):

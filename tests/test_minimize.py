@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodal_lab import functional as fn
 from nodal_lab import geometry as geo
 from nodal_lab import minimize as mz
+
+from conftest import PROP_GRID, property_fields
 
 
 def closed_form_interval(x):
@@ -26,13 +30,13 @@ def test_project_scaled_odd_field_fixed(interval_grid):
     spec = fn.ProblemSpec(interval_grid, 1.5)
     x = interval_grid.coords[:, 0]
     u = fn.t_star(spec, x) * x
-    out = mz.project(spec, u)
+    out, _ = mz.project(spec, u)
     assert np.max(np.abs(out - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_project_constant_gives_zero(interval_grid):
     spec = fn.ProblemSpec(interval_grid, 1.0)
-    out = mz.project(spec, np.full(interval_grid.n_nodes, 7.0))
+    out, _ = mz.project(spec, np.full(interval_grid.n_nodes, 7.0))
     assert np.array_equal(out, np.zeros(interval_grid.n_nodes))
 
 
@@ -42,9 +46,21 @@ def test_project_always_feasible(interval_grid, q):
     rng = np.random.default_rng(21)
     for _ in range(5):
         u = rng.standard_normal(interval_grid.n_nodes) + rng.uniform(-1, 1)
-        out = mz.project(spec, u)
+        out, phi = mz.project(spec, u)
         assert fn.in_constraint(spec, out).member
         assert fn.energy(spec, out) <= 0.0
+        assert phi == pytest.approx(fn.energy(spec, out), rel=1e-12)
+
+
+# near q = 1 some drawn fields have no double meeting the shift tolerance;
+# the closed form holds for whatever shift c_shift returns
+@pytest.mark.filterwarnings("ignore:c_shift residual")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.one_of(st.just(1.0), st.floats(1.01, 1.99)), u=property_fields())
+def test_project_energy_closed_form(q, u):
+    spec = fn.ProblemSpec(PROP_GRID, q)
+    out, phi = mz.project(spec, u)
+    assert phi == pytest.approx(fn.energy(spec, out), rel=1e-12)
 
 
 def test_minimize_interval_small_grid():
@@ -141,12 +157,3 @@ def test_grid_refinement_richardson():
     rich2 = ms[1024] + (ms[1024] - ms[512]) / 3.0
     assert abs(rich1 - rich2) <= 1e-3
 
-
-def test_threaded_multistart_matches_serial(interval_grid, monkeypatch):
-    spec = fn.ProblemSpec(interval_grid, 1.0)
-    cfg = mz.SolveConfig(seed=12, starts=4, max_iter=150)
-    serial = mz.multistart(spec, cfg)
-    monkeypatch.setenv("NODAL_LAB_THREADS", "4")
-    threaded = mz.multistart(spec, cfg)
-    assert serial.energy == threaded.energy
-    assert np.array_equal(serial.u, threaded.u)
