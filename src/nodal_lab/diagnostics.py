@@ -9,7 +9,6 @@ of the discontinuous nonlinearity are not meaningful there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,10 +76,9 @@ def zero_measure_curve(grid: Grid, u: np.ndarray, deltas) -> ZeroMeasureCurve:
 
 def write_zero_curve_csv(curve: ZeroMeasureCurve, path) -> None:
     with Path(path).open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["delta", "measure"])
-        for d, m in zip(curve.deltas, curve.measures):
-            wr.writerow([f"{d:.17g}", f"{m:.17g}"])
+        fh.write("delta,measure\r\n")                      # csv's line end
+        fh.writelines("%.17g,%.17g\r\n" % row
+                      for row in zip(curve.deltas.tolist(), curve.measures.tolist()))
 
 
 def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:

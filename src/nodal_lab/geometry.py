@@ -126,14 +126,13 @@ class Grid:
         self.edge_axis = edge_axis
         self.edge_length = edge_length
         self.resolution = resolution
-        self.polar = polar        # dict with ring_radii, ring_width, thetas for disc/annulus
+        self.polar = polar        # n_r, n_theta, ring_radii, thetas, dtheta (disc/annulus)
         self.shape = shape        # (n1, n2) for rectangle node layout
         self.n_nodes = coords.shape[0]
         for a in (coords, weights, trans):
             a.setflags(write=False)
         self._stiffness = None
         self._h1_solve = None
-        self._reflections: dict[int, np.ndarray] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -168,14 +167,6 @@ class Grid:
             self._h1_solve = spla.factorized(mat)
         return self._h1_solve(rhs)
 
-    def reflection_ids(self) -> list[int]:
-        """Hyperplane ids accepted by reflect() on this grid."""
-        if self.kind == "interval":
-            return [0]
-        if self.kind == "rectangle":
-            return [0, 1]
-        return list(range(self.polar["n_theta"]))
-
     def reflection_axis_angle(self, hid: int) -> float:
         """Angle of the reflection line through the origin (polar grids)."""
         if not self.is_polar:
@@ -186,8 +177,8 @@ class Grid:
         return hid * math.pi / ntheta
 
     def reflection_perm(self, hid: int) -> np.ndarray:
-        if hid in self._reflections:
-            return self._reflections[hid]
+        """Node permutation of the reflection across hyperplane hid, computed
+        on each call: the symmetry check visits each hyperplane once."""
         kind = self.kind
         if kind == "interval":
             if hid != 0:
@@ -208,7 +199,6 @@ class Grid:
                 raise ValueError(f"unsupported-hyperplane: id {hid} on polar grid")
             jj, kk = np.divmod(np.arange(self.n_nodes), ntheta)
             perm = jj * ntheta + (hid - kk) % ntheta
-        self._reflections[hid] = perm
         return perm
 
     def to_dict(self) -> dict:
@@ -341,7 +331,6 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
                            np.ones(ei_t.size, dtype=np.int8)])
     length = np.concatenate([len_r, len_t])
     polar = {"n_r": nr, "n_theta": ntheta, "ring_radii": ring_r,
-             "ring_width": ring_width, "ring_weights": ring_w * dtheta,
              "thetas": thetas, "dtheta": dtheta}
     res = {"nr": nr, "ntheta": ntheta}
     return Grid(spec, coords, w, edge_i, edge_j, trans, axis, length,
@@ -511,17 +500,12 @@ def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
     """Dump a field as CSV, one node per row, 17 significant digits.
     Header: x,y,weight,value (interval: x,weight,value)."""
     u = _check_field(grid, u)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        if grid.domain.dim == 1:
-            wr.writerow(["x", "weight", "value"])
-            for x, w, v in zip(grid.coords[:, 0], grid.weights, u):
-                wr.writerow([f"{x:.17g}", f"{w:.17g}", f"{v:.17g}"])
-        else:
-            wr.writerow(["x", "y", "weight", "value"])
-            for (x, y), w, v in zip(grid.coords, grid.weights, u):
-                wr.writerow([f"{x:.17g}", f"{y:.17g}", f"{w:.17g}", f"{v:.17g}"])
+    cols = [*grid.coords.T, grid.weights, u]
+    names = ["x", "y"][:grid.domain.dim] + ["weight", "value"]
+    line = ",".join(["%.17g"] * len(cols)) + "\r\n"      # csv's line end
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in cols)))
 
 
 def read_field_csv(path) -> np.ndarray:
@@ -529,9 +513,14 @@ def read_field_csv(path) -> np.ndarray:
     path = Path(path)
     with path.open(newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
+        if "value" not in header:
+            raise ValueError(f"field dump {path} has no value column")
         col = header.index("value")
-        vals = [float(row[col]) for row in rd]
+        try:
+            vals = [float(row[col]) for row in rd]
+        except IndexError:
+            raise ValueError(f"field dump {path} has a row without a value") from None
     out = np.asarray(vals)
     if not np.isfinite(out).all():
         raise ValueError(f"field dump {path} contains non-finite values")

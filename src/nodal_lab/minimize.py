@@ -7,10 +7,10 @@ iterate is feasible and its energy is a valid upper bound for the infimum.
 The energy of a projected field is in closed form in its two integrals
 (the Dirichlet energy and int |v|^q of the shifted field), so the projection
 returns it without a separate energy evaluation.
-The descent direction is the gradient of the energy in a selectable inner
-product; the default "h1" metric (stiffness plus mass) preconditions away
-the mesh-dependent stiffness of the plain quadrature-weighted gradient and
-gives mesh-independent convergence rates.  Step sizes start from a spectral
+The descent direction is the gradient of the energy in the H1 inner
+product (stiffness plus mass), which preconditions away the mesh-dependent
+stiffness of the plain quadrature-weighted gradient and gives
+mesh-independent convergence rates.  Step sizes start from a spectral
 (Barzilai-Borwein) trial value and are accepted through Armijo backtracking
 on the true (nonsmooth for q = 1) energy values, so the accepted energy
 trace is monotone by construction.
@@ -18,7 +18,6 @@ trace is monotone by construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,34 +29,30 @@ __all__ = ["SolveConfig", "SolveReport", "project", "minimize_energy",
            "multistart", "continuation_sweep"]
 
 _RECIPES = ("dipole", "random", "custom")
+_STEP0 = 1.0                           # initial step size
+_ARMIJO = 1e-4                         # sufficient-decrease factor
+_BACKTRACK = 0.5                       # step shrink ratio
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for one projected-descent run."""
+    """Stopping rule, seeding and starts of one projected-descent run; the
+    step-size rule (initial step, Armijo factor, shrink ratio) is fixed."""
 
-    step0: float = 1.0                 # initial step size
-    armijo: float = 1e-4               # sufficient-decrease factor in (0,1)
-    backtrack: float = 0.5             # step shrink ratio in (0,1)
     max_iter: int = 20000
     grad_tol: float = 1e-6             # projected-gradient norm threshold
     energy_tol: float = 1e-11          # stall threshold over 10 iterations
     seed: int = 0
     starts: int = 8                    # multistart count (dipole always included)
     recipe: str = "dipole"             # initial-field recipe
-    metric: str = "h1"                 # descent metric: "h1" or "l2"
 
     def __post_init__(self):
-        if self.step0 <= 0 or not (0 < self.armijo < 1) or not (0 < self.backtrack < 1):
-            raise ValueError("invalid solve config: step/armijo/backtrack out of range")
         if self.max_iter < 1 or self.starts < 1:
             raise ValueError("invalid solve config: counts must be >= 1")
         if self.grad_tol <= 0 or self.energy_tol <= 0:
             raise ValueError("invalid solve config: tolerances must be > 0")
         if self.recipe not in _RECIPES:
             raise ValueError(f"invalid solve config: unknown recipe {self.recipe!r}")
-        if self.metric not in ("h1", "l2"):
-            raise ValueError(f"invalid solve config: unknown metric {self.metric!r}")
 
 
 @dataclass
@@ -70,7 +65,6 @@ class SolveReport:
     grad_norm: float
     iterations: int
     energy_trace: list[float]
-    wall_time: float
     seed: int
     q: float
     converged: bool
@@ -80,8 +74,8 @@ class SolveReport:
     near_best: list[dict] = field(default_factory=list)
 
     def to_dict(self, grid=None) -> dict:
-        """JSON-ready summary.  Wall time is intentionally omitted so that
-        reruns with identical seeds serialize byte-identically."""
+        """JSON-ready summary; it holds no timing, so reruns with identical
+        seeds serialize byte-identically."""
         d = {
             "energy": self.energy,
             "constraint_residual": self.constraint_residual,
@@ -144,13 +138,11 @@ def _initial_field(spec: ProblemSpec, recipe: str, rng: np.random.Generator,
     return _smooth_noise(spec, rng)
 
 
-def _descent_direction(spec: ProblemSpec, u: np.ndarray, metric: str):
-    """Returns (direction d, directional derivative <dphi, d> >= 0)."""
+def _descent_direction(spec: ProblemSpec, u: np.ndarray):
+    """Returns (H1 gradient d, directional derivative <dphi, d> >= 0)."""
     g = spec.grid
     grad_w = functional.energy_gradient(spec, u)       # w-metric gradient
     euclid = g.weights * grad_w                        # raw partial derivatives
-    if metric == "l2":
-        return grad_w, float(np.dot(euclid, grad_w))
     d = g.h1_solve(euclid)
     return d, float(np.dot(euclid, d))
 
@@ -162,9 +154,9 @@ def _wnorm(g, v) -> float:
 def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveReport:
     """Projected descent from one start.
 
-    Iterates u_{k+1} = project(u_k - eta_k d_k) with d_k the energy gradient
-    in the configured metric and eta_k from Armijo backtracking:
-    phi(u_{k+1}) <= phi(u_k) - armijo * eta_k * |dphi(u_k)|^2.  Stops when
+    Iterates u_{k+1} = project(u_k - eta_k d_k) with d_k the H1 energy
+    gradient and eta_k from Armijo backtracking:
+    phi(u_{k+1}) <= phi(u_k) - 1e-4 * eta_k * |dphi(u_k)|^2.  Stops when
     the projected-gradient norm (quadrature-weighted) drops below grad_tol,
     when the energy decrease over 10 iterations falls below energy_tol, or
     at max_iter (reported with a flag).  Constant starts are re-seeded from
@@ -172,16 +164,15 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     """
     g = spec.grid
     rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
 
     u = _initial_field(spec, config.recipe, rng, u0)
     if float(np.max(u) - np.min(u)) == 0.0:
         u = _smooth_noise(spec, rng)      # degenerate start: re-seed randomly
     u, phi = project(spec, u)
     trace = [phi]
-    eta = config.step0
-    eta_floor = 1e-14 * config.step0
-    eta_cap = 1e6 * config.step0
+    eta = _STEP0
+    eta_floor = 1e-14 * _STEP0
+    eta_cap = 1e6 * _STEP0
     grad_norm = float("inf")
     converged = False
     reason = "max-iterations-exceeded"
@@ -190,7 +181,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
 
     while it < config.max_iter:
         it += 1
-        d, slope = _descent_direction(spec, u, config.metric)
+        d, slope = _descent_direction(spec, u)
         if slope <= 0.0 or not np.isfinite(slope):
             converged, reason = True, "zero-gradient"
             grad_norm = 0.0
@@ -204,18 +195,18 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
             if sy > 0.0:
                 eta = float(np.dot(g.weights, s * s)) / sy
             else:
-                eta = eta / config.backtrack
+                eta = eta / _BACKTRACK
         else:
-            eta = eta / config.backtrack
-        eta = min(max(eta, 1e-6 * config.step0), eta_cap)
+            eta = eta / _BACKTRACK
+        eta = min(max(eta, 1e-6 * _STEP0), eta_cap)
         prev_u, prev_d = u, d
         accepted = False
         while eta >= eta_floor:
             trial, phi_t = project(spec, u - eta * d)
-            if phi_t <= phi - config.armijo * eta * slope:
+            if phi_t <= phi - _ARMIJO * eta * slope:
                 accepted = True
                 break
-            eta *= config.backtrack
+            eta *= _BACKTRACK
         if not accepted:
             converged, reason = True, "no-descent-step"
             break
@@ -233,9 +224,8 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     return SolveReport(
         u=u, energy=phi, constraint_residual=check.residual,
         grad_norm=grad_norm, iterations=it, energy_trace=trace,
-        wall_time=time.perf_counter() - t0, seed=config.seed, q=spec.q,
-        converged=converged, stop_reason=reason, recipe=config.recipe,
-        constraint=_constraint_name(spec),
+        seed=config.seed, q=spec.q, converged=converged, stop_reason=reason,
+        recipe=config.recipe, constraint=_constraint_name(spec),
     )
 
 
@@ -270,6 +260,8 @@ def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
     previous minimizer re-projected under the new constraint.  The first
     exponent is solved by multistart."""
     qs = [float(q) for q in q_list]
+    if not qs:
+        raise ValueError("continuation needs at least one exponent")
     if any(not 1.0 <= q < 2.0 for q in qs):
         raise ValueError("q-out-of-range: continuation exponents must lie in [1, 2)")
     if sorted(qs, reverse=True) != qs:

@@ -9,7 +9,6 @@ function upper bounds and the dimension-dependent inequality chain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,6 @@ class RadialProfile:
     r: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    tol: float = 1e-8
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -143,7 +141,7 @@ def closed_form_q1(n_dim: int, r=None, n_samples: int = 8192) -> RadialProfile:
     # pin the interface sample to an exact zero when it is on the grid
     exact = np.isclose(r, a, rtol=0, atol=1e-15)
     u[exact] = 0.0
-    return RadialProfile(n_dim=n_dim, q=1.0, r=r, u=u, du=du, tol=1e-8)
+    return RadialProfile(n_dim=n_dim, q=1.0, r=r, u=u, du=du)
 
 
 # -- shooting -----------------------------------------------------------------
@@ -199,7 +197,7 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
         raise ValueError("shooting needs u0 != 0")
     if u0 < 0.0:
         p = shoot(q, n_dim, -u0, ode_tol, n_samples, max_segments)
-        return RadialProfile(n_dim=n_dim, q=q, r=p.r, u=-p.u, du=-p.du, tol=p.tol)
+        return RadialProfile(n_dim=n_dim, q=q, r=p.r, u=-p.u, du=-p.du)
 
     rhs, y = _radial_ode(q, n_dim, u0)
     r0 = _R_START
@@ -234,7 +232,7 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
         uu[mask] = vals[0]
         dd[mask] = vals[1]
     rr[-1] = 1.0
-    return RadialProfile(n_dim=n_dim, q=q, r=rr, u=uu, du=dd, tol=ode_tol)
+    return RadialProfile(n_dim=n_dim, q=q, r=rr, u=uu, du=dd)
 
 
 def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8,
@@ -272,7 +270,6 @@ def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8,
     if profile.sign_changes() != 1:
         raise RuntimeError("no-sign-change-in-bracket: the Neumann profile "
                            f"changes sign {profile.sign_changes()} times")
-    profile.tol = tol
     return profile
 
 
@@ -454,7 +451,6 @@ def h_energy_monotone(p: RadialProfile, slack: float = 1e-8) -> dict:
 def write_profile_csv(p: RadialProfile, path) -> None:
     """Dump r, u, du rows with 17 significant digits."""
     with Path(path).open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "u", "du"])
-        for r, u, du in zip(p.r, p.u, p.du):
-            wr.writerow([f"{r:.17g}", f"{u:.17g}", f"{du:.17g}"])
+        fh.write("r,u,du\r\n")                             # csv's line end
+        fh.writelines("%.17g,%.17g,%.17g\r\n" % row
+                      for row in zip(p.r.tolist(), p.u.tolist(), p.du.tolist()))

@@ -161,6 +161,7 @@ def test_sweep_command(tmp_path):
 
     assert run(["sweep", "--q-list", "1.0,1.5", "--out", tmp_path]) == 1
     assert run(["sweep", "--q-list", "2.4", "--out", tmp_path]) == 1
+    assert run(["sweep", "--q-list", ",", "--out", tmp_path]) == 1
 
 
 def test_sweep_single_matches_solve(tmp_path):
@@ -186,11 +187,19 @@ def test_solve_nonconvergence_exit_two(tmp_path):
 
 
 def test_verify_rejects_nonfinite_dump(tmp_path):
-    out = tmp_path / "nf"
-    out.mkdir()
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
-    (out / "field.csv").write_text(
-        "x,weight,value\n" + "\n".join(f"0,0.1,{v}" for v in ["1.0"] * 15 + ["nan"]))
-    report = {"q": 1.0, "field_csv": "field.csv", **grid.to_dict()}
-    (out / "report.json").write_text(json.dumps(report))
-    assert run(["verify", out / "report.json"]) == 1
+    rows = "x,weight,value\n" + "\n".join(["0,0.1,1.0"] * 15)
+    dumps = {                          # name: (field.csv, the report's q entry)
+        "nonfinite": (rows + "\n0,0.1,nan", {"q": 1.0}),
+        "empty": ("", {"q": 1.0}),
+        "truncated": (rows + "\n0,0.", {"q": 1.0}),
+        "no-q": (rows + "\n0,0.1,1.0", {}),
+        "null-q": (rows + "\n0,0.1,1.0", {"q": None}),
+    }
+    for name, (field, q) in dumps.items():
+        out = tmp_path / name
+        out.mkdir()
+        (out / "field.csv").write_text(field)
+        report = {**q, "field_csv": "field.csv", **grid.to_dict()}
+        (out / "report.json").write_text(json.dumps(report))
+        assert run(["verify", out / "report.json"]) == 1, name

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,54 @@ def test_foliated_schwarz_radial_passes(disc_grid):
     r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.polar["n_theta"])
     rep = dg.foliated_schwarz_check(disc_grid, 1 - r * r)
     assert rep.passed and rep.axis_angle is None and rep.axis_method == "radial"
+
+
+def test_foliated_schwarz_retains_no_reflections():
+    # a fresh grid, not the shared disc_grid fixture, which other tests may
+    # have left holding state
+    grid = geo.build_grid(geo.DomainSpec.disc(1.0), (64, 128))
+    tracemalloc.start()
+    try:
+        rep = dg.foliated_schwarz_check(grid, grid.x1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.axis_method == "fourier"
+    # one int64 permutation per hyperplane would hold 128 * 8192 * 8 B = 8 MiB
+    assert held < 2**20
+
+
+def _csv_module_reference(path, header, columns):
+    """The dump format as csv.writer writes it, 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in zip(*columns):
+            wr.writerow([f"{v:.17g}" for v in row])
+
+
+def test_csv_writers_match_csv_module(tmp_path):
+    vals = np.array([-0.0, 5e-324, 1e300, -1e300, -2.5, 1.0 / 3.0, -5e-324, 0.1])
+    ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+    for g in (geo.build_grid(geo.DomainSpec.interval(1.0), 8),
+              geo.build_grid(geo.DomainSpec.disc(1.0), (8, 8))):
+        u = np.tile(vals, g.n_nodes // vals.size)
+        geo.write_field_csv(g, u, got)
+        names = ["x", "y"][:g.domain.dim] + ["weight", "value"]
+        _csv_module_reference(ref, names, [*g.coords.T, g.weights, u])
+        assert got.read_bytes() == ref.read_bytes()
+
+    p = rad.RadialProfile(n_dim=2, q=1.0, r=np.linspace(0.125, 1.0, 8),
+                          u=vals, du=-vals[::-1])
+    rad.write_profile_csv(p, got)
+    _csv_module_reference(ref, ["r", "u", "du"], [p.r, p.u, p.du])
+    assert got.read_bytes() == ref.read_bytes()
+
+    curve = dg.ZeroMeasureCurve(deltas=np.abs(vals), measures=vals, kappa_hat=0.0,
+                                floor=0.0, floor_measure=0.0)
+    dg.write_zero_curve_csv(curve, got)
+    _csv_module_reference(ref, ["delta", "measure"], [curve.deltas, curve.measures])
+    assert got.read_bytes() == ref.read_bytes()
 
 
 def test_pde_residual_closed_form_first_order():

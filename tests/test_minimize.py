@@ -17,10 +17,6 @@ def closed_form_interval(x):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        mz.SolveConfig(step0=-1.0)
-    with pytest.raises(ValueError):
-        mz.SolveConfig(armijo=1.5)
-    with pytest.raises(ValueError):
         mz.SolveConfig(starts=0)
     with pytest.raises(ValueError):
         mz.SolveConfig(recipe="banana")
@@ -143,6 +139,8 @@ def test_continuation_descends_to_q1():
         mz.continuation_sweep(grid, [1.0, 1.5], cfg)       # not descending
     with pytest.raises(ValueError):
         mz.continuation_sweep(grid, [2.5], cfg)
+    with pytest.raises(ValueError):
+        mz.continuation_sweep(grid, [], cfg)
 
 
 def test_grid_refinement_richardson():
