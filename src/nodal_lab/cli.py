@@ -203,7 +203,7 @@ def cmd_bounds(args) -> int:
             upper = radial.test_function_bound(2, 0.0)
             m_r = radial.m_radial(2, 1.0)
             holds = upper < m_r
-            h3 = radial.h_value(3.0)
+            h3 = radial.H3
             cubic_ok = None
         else:
             rep = radial.check_inequality_chain(n_dim)
@@ -234,9 +234,7 @@ def cmd_verify(args) -> int:
         report = json.loads(Path(args.report).read_text())
         grid = geometry.grid_from_dict(report)
         field_path = Path(args.report).parent / report.get("field_csv", "field.csv")
-        u = geometry.read_field_csv(field_path)
-        if u.shape[0] != grid.n_nodes:
-            raise ValueError("field dump does not match the embedded grid")
+        u = geometry.read_field_csv(grid, field_path)
         q = args.q if args.q is not None else float(report["q"])
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"unreadable dump: {exc!r}", file=sys.stderr)

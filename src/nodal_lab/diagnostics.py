@@ -143,18 +143,13 @@ def _angular_monotonicity_violation(grid: Grid, u: np.ndarray,
     d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
     order = np.argsort(d, kind="stable")
     ds = d[order]
-    worst = 0.0
-    for row in profiles:
-        vals = row[order]
-        run_min = np.minimum.accumulate(vals)
-        # compare each value against the running minimum over strictly
-        # smaller distances
-        base = np.searchsorted(ds, ds - 1e-12, side="left") - 1
-        ok = base >= 0
-        if ok.any():
-            inc = vals[ok] - run_min[base[ok]]
-            worst = max(worst, float(np.max(inc)))
-    return worst
+    vals = profiles[:, order]
+    run_min = np.minimum.accumulate(vals, axis=1)
+    # compare each value against the running minimum over strictly smaller
+    # distances; the angles, and so this base, are the same on every ring
+    base = np.searchsorted(ds, ds - 1e-12, side="left") - 1
+    ok = base >= 0
+    return max(0.0, float(np.max(vals[:, ok] - run_min[:, base[ok]])))
 
 
 def foliated_schwarz_check(grid: Grid, u: np.ndarray,
@@ -181,9 +176,9 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
                               radiality_deviation=dev, passed=True)
 
     thetas = grid.polar["thetas"]
-    nth = grid.polar["n_theta"]
+    nr, nth = grid.shape
     # projecting onto e^{+i theta} puts the axis at the argument of the mode
-    phase = np.tile(np.exp(1j * thetas), grid.polar["n_r"])
+    phase = np.tile(np.exp(1j * thetas), nr)
     mode = complex(np.sum(grid.weights * u * phase))
     scale = float(np.dot(grid.weights, np.abs(u)))
     if abs(mode) > 1e-8 * max(scale, 1e-300):

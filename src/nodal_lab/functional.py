@@ -284,7 +284,7 @@ def rescale_bump(spec: ProblemSpec, v: np.ndarray, r: float,
     cx, cy = float(center[0]), float(center[1])
     if math.hypot(cx, cy) + r > g.domain.radius + 1e-12:
         raise ValueError("ball-not-contained: B_r(center) must lie in the disc")
-    nr, ntheta = g.polar["n_r"], g.polar["n_theta"]
+    nr, ntheta = g.shape
     outer = v.reshape(nr, ntheta)[-1]
     if np.max(np.abs(outer)) > 0.0:
         raise ValueError("v must vanish near the unit-disc boundary")

@@ -10,7 +10,6 @@ terms are ever assembled.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,14 +108,18 @@ class DomainSpec:
 class Grid:
     """Immutable discretization carrier.
 
-    Nodes carry positive quadrature weights summing to the domain measure.
-    The edge list (i, j, transmissibility tau) defines the discrete Dirichlet
-    form  sum_e tau_e (u_i - u_j)^2, which is symmetric PSD with kernel equal
-    to the constant fields.  Construct via build_grid().
+    Nodes carry positive quadrature weights summing to the domain measure
+    and are numbered row-major over `shape`: (n,) on an interval, (n1, n2)
+    on a rectangle and (n_r, n_theta) rings by angles on polar grids, so
+    np.arange(n_nodes).reshape(shape) is the node-index array every
+    reflection and angular profile reads.  The edge list (i, j,
+    transmissibility tau) defines the discrete Dirichlet form
+    sum_e tau_e (u_i - u_j)^2, which is symmetric PSD with kernel equal to
+    the constant fields.  Construct via build_grid().
     """
 
     def __init__(self, domain, coords, weights, edge_i, edge_j, trans,
-                 edge_axis, edge_length, resolution, polar=None, shape=None):
+                 edge_axis, edge_length, resolution, shape, polar=None):
         self.domain = domain
         self.coords = coords
         self.weights = weights
@@ -126,8 +129,8 @@ class Grid:
         self.edge_axis = edge_axis
         self.edge_length = edge_length
         self.resolution = resolution
-        self.polar = polar        # n_r, n_theta, ring_radii, thetas, dtheta (disc/annulus)
-        self.shape = shape        # (n1, n2) for rectangle node layout
+        self.shape = shape        # row-major node layout: (n,), (n1, n2) or (n_r, n_theta)
+        self.polar = polar        # ring_radii, thetas, dtheta (disc/annulus)
         self.n_nodes = coords.shape[0]
         for a in (coords, weights, trans):
             a.setflags(write=False)
@@ -167,39 +170,22 @@ class Grid:
             self._h1_solve = spla.factorized(mat)
         return self._h1_solve(rhs)
 
-    def reflection_axis_angle(self, hid: int) -> float:
-        """Angle of the reflection line through the origin (polar grids)."""
-        if not self.is_polar:
-            raise ValueError("wrong-domain-kind: axis angles exist on polar grids only")
-        ntheta = self.polar["n_theta"]
-        if not 0 <= hid < ntheta:
-            raise ValueError(f"unsupported-hyperplane: id {hid}")
-        return hid * math.pi / ntheta
-
     def reflection_perm(self, hid: int) -> np.ndarray:
-        """Node permutation of the reflection across hyperplane hid, computed
-        on each call: the symmetry check visits each hyperplane once."""
-        kind = self.kind
-        if kind == "interval":
-            if hid != 0:
-                raise ValueError(f"unsupported-hyperplane: id {hid} on interval")
-            perm = np.arange(self.n_nodes)[::-1].copy()
-        elif kind == "rectangle":
-            n1, n2 = self.shape
-            ii, jj = np.divmod(np.arange(self.n_nodes), n2)
-            if hid == 0:
-                perm = (n1 - 1 - ii) * n2 + jj
-            elif hid == 1:
-                perm = ii * n2 + (n2 - 1 - jj)
-            else:
-                raise ValueError(f"unsupported-hyperplane: id {hid} on rectangle")
-        else:
-            ntheta = self.polar["n_theta"]
+        """Node permutation of the reflection across hyperplane hid.
+
+        On interval and rectangle grids it flips axis hid of the node-index
+        array; on polar grids it maps angle column k to (hid - k) mod
+        n_theta, the reflection across the line at angle hid*pi/n_theta.
+        """
+        idx = np.arange(self.n_nodes).reshape(self.shape)
+        if self.is_polar:
+            ntheta = self.shape[1]
             if not 0 <= hid < ntheta:
                 raise ValueError(f"unsupported-hyperplane: id {hid} on polar grid")
-            jj, kk = np.divmod(np.arange(self.n_nodes), ntheta)
-            perm = jj * ntheta + (hid - kk) % ntheta
-        return perm
+            return idx[:, (hid - np.arange(ntheta)) % ntheta].ravel()
+        if not 0 <= hid < len(self.shape):
+            raise ValueError(f"unsupported-hyperplane: id {hid} on {self.kind}")
+        return np.flip(idx, axis=hid).ravel()
 
     def to_dict(self) -> dict:
         return {"domain": self.domain.to_dict(), "resolution": dict(self.resolution)}
@@ -232,7 +218,7 @@ def _build_interval(spec: DomainSpec, n: int) -> Grid:
     axis = np.zeros(n - 1, dtype=np.int8)
     length = np.full(n - 1, dx)
     return Grid(spec, x[:, None].copy(), w, i, j, trans, axis, length,
-                resolution={"n": n})
+                resolution={"n": n}, shape=(n,))
 
 
 def _build_rectangle(spec: DomainSpec, n1: int, n2: int) -> Grid:
@@ -330,11 +316,10 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     axis = np.concatenate([np.zeros(ei_r.size, dtype=np.int8),
                            np.ones(ei_t.size, dtype=np.int8)])
     length = np.concatenate([len_r, len_t])
-    polar = {"n_r": nr, "n_theta": ntheta, "ring_radii": ring_r,
-             "thetas": thetas, "dtheta": dtheta}
-    res = {"nr": nr, "ntheta": ntheta}
+    polar = {"ring_radii": ring_r, "thetas": thetas, "dtheta": dtheta}
     return Grid(spec, coords, w, edge_i, edge_j, trans, axis, length,
-                resolution=res, polar=polar)
+                resolution={"nr": nr, "ntheta": ntheta}, shape=(nr, ntheta),
+                polar=polar)
 
 
 def build_grid(spec: DomainSpec, resolution) -> Grid:
@@ -430,29 +415,21 @@ def polarize(grid: Grid, u: np.ndarray, hid: int, toward=None) -> np.ndarray:
     """Two-point rearrangement across hyperplane hid: on the chosen halfspace
     take max(u, u o sigma), on the complement take min.
 
+    The hyperplane normal is the unit vector e_hid on interval and rectangle
+    grids and (-sin a, cos a) with a = hid*pi/n_theta on polar grids.
     toward: point/direction selecting the halfspace (default: positive side
-    of the hyperplane normal).  Nodes on the hyperplane are fixed points.
+    of the normal).  Nodes on the hyperplane are fixed points.
     """
     u = _check_field(grid, u)
     ur = u[grid.reflection_perm(hid)]
-    if grid.kind == "interval":
-        s = grid.coords[:, 0]
-    elif grid.kind == "rectangle":
-        s = grid.coords[:, hid]
-    else:
-        alpha = grid.reflection_axis_angle(hid)
+    if grid.is_polar:
+        alpha = hid * math.pi / grid.shape[1]
         normal = np.array([-math.sin(alpha), math.cos(alpha)])
-        s = grid.coords @ normal
-    if toward is not None:
-        t = np.asarray(toward, dtype=float)
-        if grid.kind == "interval":
-            sign = float(t[0])
-        elif grid.kind == "rectangle":
-            sign = float(t[hid])
-        else:
-            sign = float(np.dot(t, normal))
-        if sign < 0:
-            s = -s
+    else:
+        normal = np.eye(grid.domain.dim)[hid]
+    s = grid.coords @ normal
+    if toward is not None and float(np.dot(toward, normal)) < 0:
+        s = -s
     hi = np.maximum(u, ur)
     lo = np.minimum(u, ur)
     return np.where(s > 0, hi, np.where(s < 0, lo, u))
@@ -468,8 +445,7 @@ def angular_profiles(grid: Grid, u: np.ndarray):
     if not grid.is_polar:
         raise ValueError("wrong-domain-kind: angular profiles need a polar grid")
     u = _check_field(grid, u)
-    nr, ntheta = grid.polar["n_r"], grid.polar["n_theta"]
-    profiles = u.reshape(nr, ntheta)
+    profiles = u.reshape(grid.shape)
     return profiles, profiles.mean(axis=1)
 
 
@@ -496,32 +472,39 @@ def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 # -- field I/O ---------------------------------------------------------------
 
+def _field_header(grid: Grid) -> str:
+    return ",".join(["x", "y"][:grid.domain.dim] + ["weight", "value"])
+
+
 def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
     """Dump a field as CSV, one node per row, 17 significant digits.
     Header: x,y,weight,value (interval: x,weight,value)."""
     u = _check_field(grid, u)
     cols = [*grid.coords.T, grid.weights, u]
-    names = ["x", "y"][:grid.domain.dim] + ["weight", "value"]
     line = ",".join(["%.17g"] * len(cols)) + "\r\n"      # csv's line end
     with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
+        fh.write(_field_header(grid) + "\r\n")
         fh.writelines(line % row for row in zip(*(c.tolist() for c in cols)))
 
 
-def read_field_csv(path) -> np.ndarray:
-    """Read back the value column of a field dump."""
+def read_field_csv(grid: Grid, path) -> np.ndarray:
+    """Read back the value column of a field dump of grid.
+
+    Raises ValueError unless the dump has write_field_csv's header and finite
+    values, and its other columns equal the grid's coordinates and weights
+    exactly, row for row (%.17g round-trips every double).
+    """
     path = Path(path)
+    header = _field_header(grid)
     with path.open(newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, [])
-        if "value" not in header:
-            raise ValueError(f"field dump {path} has no value column")
-        col = header.index("value")
-        try:
-            vals = [float(row[col]) for row in rd]
-        except IndexError:
-            raise ValueError(f"field dump {path} has a row without a value") from None
-    out = np.asarray(vals)
-    if not np.isfinite(out).all():
+        if fh.readline().rstrip("\r\n") != header:
+            raise ValueError(f"field dump {path} has no {header} header")
+        # one C-level parse of every column; csv rows through np.array take
+        # three times as long
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if not np.array_equal(table[:, :-1], np.column_stack([grid.coords, grid.weights])):
+        raise ValueError(f"field dump {path} does not match the grid's nodes and weights")
+    u = table[:, -1]
+    if not np.isfinite(u).all():
         raise ValueError(f"field dump {path} contains non-finite values")
-    return out
+    return u

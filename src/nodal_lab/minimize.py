@@ -28,7 +28,6 @@ from .functional import ProblemSpec
 __all__ = ["SolveConfig", "SolveReport", "project", "minimize_energy",
            "multistart", "continuation_sweep"]
 
-_RECIPES = ("dipole", "random", "custom")
 _STEP0 = 1.0                           # initial step size
 _ARMIJO = 1e-4                         # sufficient-decrease factor
 _BACKTRACK = 0.5                       # step shrink ratio
@@ -44,15 +43,12 @@ class SolveConfig:
     energy_tol: float = 1e-11          # stall threshold over 10 iterations
     seed: int = 0
     starts: int = 8                    # multistart count (dipole always included)
-    recipe: str = "dipole"             # initial-field recipe
 
     def __post_init__(self):
         if self.max_iter < 1 or self.starts < 1:
             raise ValueError("invalid solve config: counts must be >= 1")
         if self.grad_tol <= 0 or self.energy_tol <= 0:
             raise ValueError("invalid solve config: tolerances must be > 0")
-        if self.recipe not in _RECIPES:
-            raise ValueError(f"invalid solve config: unknown recipe {self.recipe!r}")
 
 
 @dataclass
@@ -69,7 +65,7 @@ class SolveReport:
     q: float
     converged: bool
     stop_reason: str
-    recipe: str = "dipole"
+    recipe: str = "dipole"             # start: "dipole", "random", "warm-start" or "given"
     constraint: str = ""               # "signed-mean-zero" or "sign-balance"
     near_best: list[dict] = field(default_factory=list)
 
@@ -126,18 +122,6 @@ def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
     return g.h1_solve(g.weights * raw)
 
 
-def _initial_field(spec: ProblemSpec, recipe: str, rng: np.random.Generator,
-                   u0=None) -> np.ndarray:
-    g = spec.grid
-    if recipe == "custom":
-        if u0 is None:
-            raise ValueError("custom recipe needs an explicit initial field")
-        return np.asarray(u0, dtype=float)
-    if recipe == "dipole":
-        return g.x1.copy()
-    return _smooth_noise(spec, rng)
-
-
 def _descent_direction(spec: ProblemSpec, u: np.ndarray):
     """Returns (H1 gradient d, directional derivative <dphi, d> >= 0)."""
     g = spec.grid
@@ -159,15 +143,15 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     phi(u_{k+1}) <= phi(u_k) - 1e-4 * eta_k * |dphi(u_k)|^2.  Stops when
     the projected-gradient norm (quadrature-weighted) drops below grad_tol,
     when the energy decrease over 10 iterations falls below energy_tol, or
-    at max_iter (reported with a flag).  Constant starts are re-seeded from
-    the configured rng.
+    at max_iter (reported with a flag).  Starts from u0, or from the dipole
+    x1 when u0 is None; constant starts are re-seeded from the configured
+    rng.
     """
     g = spec.grid
-    rng = np.random.default_rng(config.seed)
-
-    u = _initial_field(spec, config.recipe, rng, u0)
+    u = g.x1.copy() if u0 is None else np.asarray(u0, dtype=float)
     if float(np.max(u) - np.min(u)) == 0.0:
-        u = _smooth_noise(spec, rng)      # degenerate start: re-seed randomly
+        # degenerate start: re-seed randomly
+        u = _smooth_noise(spec, np.random.default_rng(config.seed))
     u, phi = project(spec, u)
     trace = [phi]
     eta = _STEP0
@@ -225,17 +209,18 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         u=u, energy=phi, constraint_residual=check.residual,
         grad_norm=grad_norm, iterations=it, energy_trace=trace,
         seed=config.seed, q=spec.q, converged=converged, stop_reason=reason,
-        recipe=config.recipe, constraint=_constraint_name(spec),
+        recipe="dipole" if u0 is None else "given", constraint=_constraint_name(spec),
     )
 
 
 def _run_start(spec: ProblemSpec, config: SolveConfig, idx: int) -> SolveReport:
-    # start 0 always uses the dipole recipe; later starts draw smooth noise
-    # from independent deterministic streams
-    recipe = "dipole" if idx == 0 else "random"
-    sub = replace(config, recipe=recipe, seed=config.seed + 7919 * idx)
-    rep = minimize_energy(spec, sub)
-    rep.recipe = recipe
+    # start 0 is the dipole; later starts draw smooth noise from independent
+    # deterministic streams
+    sub = replace(config, seed=config.seed + 7919 * idx)
+    if idx == 0:
+        return minimize_energy(spec, sub)
+    rep = minimize_energy(spec, sub, u0=_smooth_noise(spec, np.random.default_rng(sub.seed)))
+    rep.recipe = "random"
     return rep
 
 
@@ -273,7 +258,7 @@ def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
         if prev is None:
             rep = multistart(spec, config)
         else:
-            rep = minimize_energy(spec, replace(config, recipe="custom"), u0=prev)
+            rep = minimize_energy(spec, config, u0=prev)
             rep.recipe = "warm-start"
         if spec.sublinear_q1:
             rep.stop_reason += "; constraint switched to sign-balance"

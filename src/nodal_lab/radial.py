@@ -21,10 +21,16 @@ __all__ = [
     "nodal_radius_q1", "closed_form_q1", "shoot", "shoot_neumann",
     "radial_residual", "liouville_transform", "liouville_residual",
     "profile_energy", "m_radial", "test_function_bound",
-    "check_inequality_chain", "h_energy_monotone", "write_profile_csv",
+    "check_inequality_chain", "h_energy_monotone", "write_profile_csv", "H3",
 ]
 
 _R_START = 1e-8          # inner cutoff bypassing the 1/r singularity
+_ODE_TOL = 1e-10         # relative tolerance of shoot's RK45 segments
+_N_SAMPLES = 4096        # uniform samples of a shot profile, plus crossings
+_MAX_SEGMENTS = 256      # sign-change cap of one shot
+
+# h(3) = (5 * 2^(1/3) - 7)/3 in closed form, the value the bounds report
+H3 = (5.0 * 2.0 ** (1.0 / 3.0) - 7.0) / 3.0
 
 
 @dataclass
@@ -181,8 +187,7 @@ _critical.terminal = True
 _critical.direction = 1     # u' rises through 0: the trough after the crossing
 
 
-def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
-          n_samples: int = 4096, max_segments: int = 256) -> RadialProfile:
+def shoot(q: float, n_dim: int, u0: float) -> RadialProfile:
     """Integrate the radial equation from the regular branch at the center.
 
     Starts at r = 1e-8 with the series u ~ u0 - |u0|^{q-2} u0 r^2/(2N),
@@ -196,16 +201,16 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
     if u0 == 0.0:
         raise ValueError("shooting needs u0 != 0")
     if u0 < 0.0:
-        p = shoot(q, n_dim, -u0, ode_tol, n_samples, max_segments)
+        p = shoot(q, n_dim, -u0)
         return RadialProfile(n_dim=n_dim, q=q, r=p.r, u=-p.u, du=-p.du)
 
     rhs, y = _radial_ode(q, n_dim, u0)
     r0 = _R_START
     segments = []
     r_lo = r0
-    for _ in range(max_segments):
-        sol = solve_ivp(rhs, (r_lo, 1.0), y, method="RK45", rtol=ode_tol,
-                        atol=ode_tol * 1e-2 * u0, dense_output=True,
+    for _ in range(_MAX_SEGMENTS):
+        sol = solve_ivp(rhs, (r_lo, 1.0), y, method="RK45", rtol=_ODE_TOL,
+                        atol=_ODE_TOL * 1e-2 * u0, dense_output=True,
                         events=_crossing)
         if not sol.success:
             raise RuntimeError(f"tolerance-not-met: integrator failed: {sol.message}")
@@ -223,7 +228,7 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
 
     crossings = [seg[1] for seg in segments[:-1]]
     rr = np.unique(np.concatenate([
-        np.linspace(r0, 1.0, n_samples + 1), np.asarray(crossings)]))
+        np.linspace(r0, 1.0, _N_SAMPLES + 1), np.asarray(crossings)]))
     uu = np.empty_like(rr)
     dd = np.empty_like(rr)
     for lo, hi, dense in segments:
@@ -235,8 +240,7 @@ def shoot(q: float, n_dim: int, u0: float, ode_tol: float = 1e-10,
     return RadialProfile(n_dim=n_dim, q=q, r=rr, u=uu, du=dd)
 
 
-def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8,
-                  n_samples: int = 4096) -> RadialProfile:
+def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8) -> RadialProfile:
     """Radial solution with u'(0) = u'(1) = 0 and exactly one interior sign
     change, from the scaling law instead of a search.
 
@@ -264,7 +268,7 @@ def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8,
         raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
                            f"zero and trough before r = {_S_MAX:g}")
     u0 = float(unit.t[-1]) ** (-2.0 / (2.0 - q))
-    profile = shoot(q, n_dim, u0, ode_tol=1e-10, n_samples=n_samples)
+    profile = shoot(q, n_dim, u0)
     if abs(float(profile.du[-1])) > tol:
         raise RuntimeError(f"tolerance-not-met: |u'(1)| = {abs(float(profile.du[-1])):.3e}")
     if profile.sign_changes() != 1:
@@ -431,11 +435,10 @@ def check_inequality_chain(n_dim: int) -> ChainReport:
         raise ValueError("unsupported-N: the chain needs N >= 3")
     upper = test_function_bound(n_dim, -1.0)
     mr = m_radial(n_dim, 1.0)
-    h3 = (5.0 * 2.0 ** (1.0 / 3.0) - 7.0) / 3.0
-    cubic = n_dim**3 * h3 + 4.0 * n_dim - 8.0
+    cubic = n_dim**3 * H3 + 4.0 * n_dim - 8.0
     return ChainReport(n_dim=n_dim, upper=upper, m_r=mr, holds=upper < mr,
-                       h3=h3, h3_cubic_ok=cubic < 0.0,
-                       h3_below_minus_one=h3 < -1.0)
+                       h3=H3, h3_cubic_ok=cubic < 0.0,
+                       h3_below_minus_one=H3 < -1.0)
 
 
 def h_energy_monotone(p: RadialProfile, slack: float = 1e-8) -> dict:

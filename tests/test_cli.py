@@ -126,6 +126,7 @@ def test_bounds_command(tmp_path, capsys):
     assert rows[3]["upper_bound"] == pytest.approx(-math.pi / 27.0, abs=1e-15)
     assert all(rows[n]["holds"] for n in range(2, 11))
     assert rows[3]["h3"] == pytest.approx((5 * 2 ** (1 / 3) - 7) / 3, abs=1e-15)
+    assert len({row["h3"] for row in data["rows"]}) == 1
     lines = (out / "bounds.csv").read_text().splitlines()
     assert lines[0].startswith("N,")
     assert len(lines) == 10
@@ -134,7 +135,7 @@ def test_bounds_command(tmp_path, capsys):
 
 def test_verify_closed_form_radial_on_disc(tmp_path):
     grid = geo.build_grid(geo.DomainSpec.disc(1.0), (64, 128))
-    r = np.repeat(grid.polar["ring_radii"], grid.polar["n_theta"])
+    r = np.repeat(grid.polar["ring_radii"], grid.shape[1])
     u = rad._closed_form_funcs(2)[0](r)
     out = tmp_path / "cf"
     out.mkdir()
@@ -188,13 +189,20 @@ def test_solve_nonconvergence_exit_two(tmp_path):
 
 def test_verify_rejects_nonfinite_dump(tmp_path):
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
-    rows = "x,weight,value\n" + "\n".join(["0,0.1,1.0"] * 15)
+    rows = ["%.17g,%.17g,1.0" % xw for xw in zip(grid.x1.tolist(), grid.weights.tolist())]
+
+    def dump(body):
+        return "x,weight,value\n" + "\n".join(body)
+
     dumps = {                          # name: (field.csv, the report's q entry)
-        "nonfinite": (rows + "\n0,0.1,nan", {"q": 1.0}),
+        "nonfinite": (dump(rows[:-1] + [rows[-1][:-3] + "nan"]), {"q": 1.0}),
         "empty": ("", {"q": 1.0}),
-        "truncated": (rows + "\n0,0.", {"q": 1.0}),
-        "no-q": (rows + "\n0,0.1,1.0", {}),
-        "null-q": (rows + "\n0,0.1,1.0", {"q": None}),
+        "truncated": (dump(rows[:-1] + [rows[-1][:-4]]), {"q": 1.0}),
+        "no-q": (dump(rows), {}),
+        "null-q": (dump(rows), {"q": None}),
+        "rewritten": (dump(rows[:-1] + ["123,-7,1.0"]), {"q": 1.0}),
+        "reordered": (dump(rows[:3] + [rows[4], rows[3]] + rows[5:]), {"q": 1.0}),
+        "intact": (dump(rows), {"q": 1.0}),
     }
     for name, (field, q) in dumps.items():
         out = tmp_path / name
@@ -202,4 +210,5 @@ def test_verify_rejects_nonfinite_dump(tmp_path):
         (out / "field.csv").write_text(field)
         report = {**q, "field_csv": "field.csv", **grid.to_dict()}
         (out / "report.json").write_text(json.dumps(report))
-        assert run(["verify", out / "report.json"]) == 1, name
+        # the intact dump is read and fails only the thresholds
+        assert run(["verify", out / "report.json"]) == (2 if name == "intact" else 1), name

@@ -44,7 +44,7 @@ def test_nodal_domains_examples(disc_grid):
     rect = geo.build_grid(geo.DomainSpec.rectangle(1.0, 1.0), (16, 16))
     assert dg.nodal_domains(rect, rect.coords[:, 0]) == 2
     assert dg.nodal_domains(rect, np.ones(rect.n_nodes)) == 1
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.polar["n_theta"])
+    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
     u = rad._closed_form_funcs(2)[0](r)
     assert dg.nodal_domains(disc_grid, u) == 2
 
@@ -62,7 +62,7 @@ def test_nodal_domains_four_quadrants(disc_grid):
 
 
 def test_radiality_deviation(disc_grid):
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.polar["n_theta"])
+    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
     assert dg.radiality_deviation(disc_grid, 1 - r * r) == pytest.approx(0.0, abs=1e-15)
     assert dg.radiality_deviation(disc_grid, disc_grid.x1) == pytest.approx(1.0, rel=1e-12)
     assert dg.radiality_deviation(disc_grid, np.zeros(disc_grid.n_nodes)) == 0.0
@@ -93,7 +93,7 @@ def test_foliated_schwarz_two_bump_fails(disc_grid):
 
 
 def test_foliated_schwarz_radial_passes(disc_grid):
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.polar["n_theta"])
+    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
     rep = dg.foliated_schwarz_check(disc_grid, 1 - r * r)
     assert rep.passed and rep.axis_angle is None and rep.axis_method == "radial"
 
@@ -150,7 +150,7 @@ def test_pde_residual_closed_form_first_order():
     norms = []
     for res in [(64, 128), (128, 256)]:
         g = geo.build_grid(geo.DomainSpec.disc(1.0), res)
-        r = np.repeat(g.polar["ring_radii"], g.polar["n_theta"])
+        r = np.repeat(g.polar["ring_radii"], g.shape[1])
         u = rad._closed_form_funcs(2)[0](r)
         norms.append(dg.pde_residual(g, u, 1.0).interior_norm)
     assert norms[1] <= norms[0] / 1.7          # first order or better
@@ -193,7 +193,7 @@ def test_polarization_consistency_on_fs_field(disc_grid):
     # conserved quantities at the level where they hold exactly on the grid
     r, th = polar_coords(disc_grid)
     u = np.maximum(1 - r, 0) * np.cos(th)
-    for hid in range(0, disc_grid.polar["n_theta"], 8):
+    for hid in range(0, disc_grid.shape[1], 8):
         uh = geo.polarize(disc_grid, u, hid, toward=(1.0, 0.0))
         assert geo.dirichlet_energy(disc_grid, uh) == pytest.approx(
             geo.dirichlet_energy(disc_grid, u), abs=1e-12)

@@ -224,11 +224,11 @@ def test_in_constraint_examples(interval_grid, disc_grid):
     assert not fn.in_constraint(p1, np.ones(interval_grid.n_nodes)).member
     # bitwise-odd angular field (float cos of mirrored angles is odd only to
     # ulp level, which the q-1 power amplifies near the zero nodes)
-    nth = disc_grid.polar["n_theta"]
+    nth = disc_grid.shape[1]
     ring = np.zeros(nth)
     ring[1:nth // 2] = np.sin(np.arange(1, nth // 2) * 2 * math.pi / nth)
     ring[nth // 2 + 1:] = -ring[1:nth // 2][::-1]
-    u = np.tile(ring, disc_grid.polar["n_r"])
+    u = np.tile(ring, disc_grid.shape[0])
     u *= np.repeat(disc_grid.polar["ring_radii"], nth)
     p15 = fn.ProblemSpec(disc_grid, 1.5)
     chk = fn.in_constraint(p15, u)
@@ -359,7 +359,7 @@ def test_polarization_energy_equality_on_symmetric_fields(disc_grid):
     r, th = polar_coords(disc_grid)
     u = np.maximum(1 - r, 0) * np.cos(th)
     spec = fn.ProblemSpec(disc_grid, 1.5)
-    for hid in range(0, disc_grid.polar["n_theta"], 16):
+    for hid in range(0, disc_grid.shape[1], 16):
         uh = geo.polarize(disc_grid, u, hid, toward=(1.0, 0.0))
         assert fn.energy(spec, uh) == pytest.approx(fn.energy(spec, u), abs=1e-12)
         assert geo.dirichlet_energy(disc_grid, uh) == pytest.approx(

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
 from conftest import polar_coords
@@ -90,14 +93,14 @@ def test_size_mismatch_rejected(disc_grid):
 
 
 def test_reflect_x1_axis(disc_grid):
-    hid = disc_grid.polar["n_theta"] // 2    # line at angle pi/2 = {x1 = 0}
+    hid = disc_grid.shape[1] // 2    # line at angle pi/2 = {x1 = 0}
     out = geo.reflect(disc_grid, disc_grid.x1, hid)
     assert np.max(np.abs(out + disc_grid.x1)) <= 1e-14
 
 
 def test_reflect_radial_invariance(disc_grid):
     # exactly ring-constant field (hypot-based radii differ at ulp level)
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.polar["n_theta"])
+    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
     for hid in (0, 3, 64):
         assert np.array_equal(geo.reflect(disc_grid, 1.0 - r * r, hid), 1.0 - r * r)
 
@@ -138,6 +141,104 @@ def test_rectangle_grid_and_reflections():
     assert np.max(np.abs(geo.reflect(g, y, 1) + y)) <= 1e-14
 
 
+def _reference_perm(grid, hid):
+    """Reflection permutation by per-kind index arithmetic on node ids."""
+    n, res = grid.n_nodes, grid.resolution
+    if grid.kind == "interval":
+        return np.arange(n)[::-1].copy()
+    if grid.kind == "rectangle":
+        n1, n2 = res["n1"], res["n2"]
+        ii, jj = np.divmod(np.arange(n), n2)
+        return (n1 - 1 - ii) * n2 + jj if hid == 0 else ii * n2 + (n2 - 1 - jj)
+    ntheta = res["ntheta"]
+    jj, kk = np.divmod(np.arange(n), ntheta)
+    return jj * ntheta + (hid - kk) % ntheta
+
+
+def _reference_polarize(grid, u, hid, toward):
+    """Two-point rearrangement with the side and orientation chosen per kind."""
+    ur = u[_reference_perm(grid, hid)]
+    if grid.kind == "interval":
+        s, sign = grid.coords[:, 0], None if toward is None else toward[0]
+    elif grid.kind == "rectangle":
+        s, sign = grid.coords[:, hid], None if toward is None else toward[hid]
+    else:
+        alpha = hid * math.pi / grid.resolution["ntheta"]
+        normal = np.array([-math.sin(alpha), math.cos(alpha)])
+        s = grid.coords @ normal
+        sign = None if toward is None else float(np.dot(toward, normal))
+    if sign is not None and sign < 0:
+        s = -s
+    return np.where(s > 0, np.maximum(u, ur), np.where(s < 0, np.minimum(u, ur), u))
+
+
+def _reference_monotonicity(grid, u, axis):
+    """Angular monotonicity violation computed ring by ring."""
+    profiles = u.reshape(grid.resolution["nr"], grid.resolution["ntheta"])
+    thetas = grid.polar["thetas"]
+    d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
+    order = np.argsort(d, kind="stable")
+    ds = d[order]
+    worst = 0.0
+    for row in profiles:
+        vals = row[order]
+        run_min = np.minimum.accumulate(vals)
+        base = np.searchsorted(ds, ds - 1e-12, side="left") - 1
+        ok = base >= 0
+        if ok.any():
+            worst = max(worst, float(np.max(vals[ok] - run_min[base[ok]])))
+    return worst
+
+
+@st.composite
+def reflection_cases(draw):
+    """A small grid of any kind, one of its hyperplanes, a field (normal
+    values, or values rounded to a few levels so that ties occur) and an
+    optional orientation."""
+    kind = draw(st.sampled_from(("interval", "rectangle", "disc", "annulus")))
+    if kind == "interval":
+        grid = geo.build_grid(geo.DomainSpec.interval(draw(st.floats(0.5, 3.0))),
+                              draw(st.integers(8, 40)))
+        n_hyper = 1
+    elif kind == "rectangle":
+        spec = geo.DomainSpec.rectangle(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
+        grid = geo.build_grid(spec, (draw(st.integers(8, 20)), draw(st.integers(8, 20))))
+        n_hyper = 2
+    else:
+        spec = (geo.DomainSpec.disc(1.0) if kind == "disc"
+                else geo.DomainSpec.annulus(draw(st.floats(0.1, 0.8)), 1.0))
+        ntheta = 2 * draw(st.integers(4, 20))
+        grid = geo.build_grid(spec, (draw(st.integers(8, 16)), ntheta))
+        n_hyper = ntheta
+    hid = draw(st.integers(0, n_hyper - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(grid.n_nodes)
+    if draw(st.booleans()):
+        u = np.round(u)
+    dim = grid.domain.dim
+    toward = draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * dim))
+    return grid, hid, u, toward
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=reflection_cases(), axis=st.floats(-math.pi, math.pi))
+def test_reflections_match_index_arithmetic(case, axis):
+    grid, hid, u, toward = case
+    n = grid.n_nodes
+    perm = grid.reflection_perm(hid)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    assert np.array_equal(perm[perm], np.arange(n))
+    assert np.array_equal(perm, _reference_perm(grid, hid))
+    assert np.array_equal(grid.weights[perm], grid.weights)
+    assert geo.dirichlet_energy(grid, u[perm]) == pytest.approx(
+        geo.dirichlet_energy(grid, u), rel=1e-12)
+    assert np.array_equal(geo.polarize(grid, u, hid, toward=toward),
+                          _reference_polarize(grid, u, hid, toward))
+    if grid.is_polar:
+        assert (dg._angular_monotonicity_violation(grid, u, axis)
+                == _reference_monotonicity(grid, u, axis))
+
+
 def test_angular_profiles(disc_grid):
     r, th = polar_coords(disc_grid)
     profiles, means = geo.angular_profiles(disc_grid, r)
@@ -165,7 +266,7 @@ def test_field_csv_roundtrip(tmp_path, disc_grid, interval_grid):
         u = rng.standard_normal(g.n_nodes)
         path = tmp_path / f"{g.kind}.csv"
         geo.write_field_csv(g, u, path)
-        back = geo.read_field_csv(path)
+        back = geo.read_field_csv(g, path)
         assert np.array_equal(back, u)
     header = (tmp_path / "interval.csv").read_text().splitlines()[0]
     assert header == "x,weight,value"
@@ -184,7 +285,7 @@ def test_grid_dict_roundtrip(disc_grid, interval_grid, annulus_grid):
 def test_disc_node_layout(disc_grid):
     # cell-centered rings (j + 1/2) dr with no node at the origin and the
     # last ring on the boundary (gradient coverage up to the wall)
-    nr = disc_grid.polar["n_r"]
+    nr = disc_grid.shape[0]
     dr = 1.0 / (nr - 0.5)
     rr = disc_grid.polar["ring_radii"]
     assert np.allclose(rr[:-1], (np.arange(nr - 1) + 0.5) * dr, rtol=1e-14)

@@ -7,7 +7,7 @@ from nodal_lab import functional as fn
 from nodal_lab import geometry as geo
 from nodal_lab import minimize as mz
 
-from conftest import PROP_GRID, property_fields
+from conftest import PROP_GRID, property_fields, smooth_random_field
 
 
 def closed_form_interval(x):
@@ -18,8 +18,6 @@ def closed_form_interval(x):
 def test_config_validation():
     with pytest.raises(ValueError):
         mz.SolveConfig(starts=0)
-    with pytest.raises(ValueError):
-        mz.SolveConfig(recipe="banana")
 
 
 def test_project_scaled_odd_field_fixed(interval_grid):
@@ -80,7 +78,7 @@ def test_minimizer_changes_sign(interval_min_q1, interval_grid):
 
 def test_degenerate_start_reseeded(interval_grid):
     spec = fn.ProblemSpec(interval_grid, 1.0)
-    cfg = mz.SolveConfig(seed=3, recipe="custom")
+    cfg = mz.SolveConfig(seed=3)
     rep = mz.minimize_energy(spec, cfg, u0=np.full(interval_grid.n_nodes, 2.0))
     assert rep.energy < 0.0
     assert rep.converged
@@ -99,8 +97,9 @@ def test_multistart_returns_minimum(interval_grid):
     spec = fn.ProblemSpec(interval_grid, 1.0)
     cfg = mz.SolveConfig(seed=6, starts=4)
     best = mz.multistart(spec, cfg)
-    singles = [mz.minimize_energy(spec, mz.SolveConfig(seed=6 + 7919 * i, starts=1,
-                                                       recipe="dipole" if i == 0 else "random"))
+    singles = [mz.minimize_energy(spec, mz.SolveConfig(seed=6 + 7919 * i, starts=1),
+                                  u0=None if i == 0 else smooth_random_field(
+                                      interval_grid, np.random.default_rng(6 + 7919 * i)))
                for i in range(4)]
     assert best.energy <= min(s.energy for s in singles) + 1e-15
     assert best.near_best and best.near_best[0]["energy"] == best.energy
