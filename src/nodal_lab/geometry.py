@@ -2,10 +2,11 @@
 exact reflection symmetries.
 
 Supported domains: symmetric interval (-L, L), origin-centered rectangle,
-disc, annulus.  The Dirichlet form is assembled from node pairs ("edges")
-with finite-volume transmissibilities, so minimizers of the discrete energy
-satisfy the natural zero-flux boundary condition automatically; no boundary
-terms are ever assembled.
+disc, annulus.  Every grid is a tensor product of its axes, and the
+Dirichlet form is assembled from node pairs ("edges") of neighbours in the
+node-index array with finite-volume transmissibilities tau = face/length,
+so minimizers of the discrete energy satisfy the natural zero-flux
+boundary condition automatically; no boundary terms are ever assembled.
 """
 
 from __future__ import annotations
@@ -112,27 +113,29 @@ class Grid:
     and are numbered row-major over `shape`: (n,) on an interval, (n1, n2)
     on a rectangle and (n_r, n_theta) rings by angles on polar grids, so
     np.arange(n_nodes).reshape(shape) is the node-index array every
-    reflection and angular profile reads.  The edge list (i, j,
-    transmissibility tau) defines the discrete Dirichlet form
+    reflection and angular profile reads.
+
+    axes[a] = (periodic, face, length) describes the edges along axis a:
+    every node of the index array is joined to its successor along a,
+    wrapping around when periodic, and face and length are the face area
+    and node distance of those edges, arrays broadcasting over them with a
+    singleton dimension wherever they are constant.  The edge list (i, j,
+    transmissibility tau = face/length) defines the discrete Dirichlet form
     sum_e tau_e (u_i - u_j)^2, which is symmetric PSD with kernel equal to
     the constant fields.  Construct via build_grid().
     """
 
-    def __init__(self, domain, coords, weights, edge_i, edge_j, trans,
-                 edge_axis, edge_length, resolution, shape, polar=None):
+    def __init__(self, domain, coords, weights, axes, resolution, shape, polar=None):
         self.domain = domain
         self.coords = coords
         self.weights = weights
-        self.edge_i = edge_i
-        self.edge_j = edge_j
-        self.trans = trans
-        self.edge_axis = edge_axis
-        self.edge_length = edge_length
+        self.axes = axes          # per axis (periodic, face, length)
         self.resolution = resolution
         self.shape = shape        # row-major node layout: (n,), (n1, n2) or (n_r, n_theta)
         self.polar = polar        # ring_radii, thetas, dtheta (disc/annulus)
         self.n_nodes = coords.shape[0]
-        for a in (coords, weights, trans):
+        self.edge_i, self.edge_j, self.trans = _edges(shape, axes)
+        for a in (coords, weights, self.trans):
             a.setflags(write=False)
         self._stiffness = None
         self._h1_solve = None
@@ -209,49 +212,41 @@ def _trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def _build_interval(spec: DomainSpec, n: int) -> Grid:
-    x, dx = _symmetric_line(n, spec.half_length)
-    w = _trapezoid_weights(n, dx)
-    i = np.arange(n - 1)
-    j = i + 1
-    trans = np.full(n - 1, 1.0 / dx)
-    axis = np.zeros(n - 1, dtype=np.int8)
-    length = np.full(n - 1, dx)
-    return Grid(spec, x[:, None].copy(), w, i, j, trans, axis, length,
-                resolution={"n": n}, shape=(n,))
+def _axis_pairs(x: np.ndarray, axis: int, periodic: bool):
+    """x and its successor along axis: the last slice of both is dropped
+    unless the axis is periodic, where the successor wraps around."""
+    y = np.roll(x, -1, axis=axis)
+    if periodic:
+        return x, y
+    return np.delete(x, -1, axis=axis), np.delete(y, -1, axis=axis)
 
 
-def _build_rectangle(spec: DomainSpec, n1: int, n2: int) -> Grid:
-    a, b = spec.sides
-    x, dx = _symmetric_line(n1, a / 2.0)
-    y, dy = _symmetric_line(n2, b / 2.0)
-    wx = _trapezoid_weights(n1, dx)
-    wy = _trapezoid_weights(n2, dy)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    coords = np.column_stack([X.ravel(), Y.ravel()])
-    w = np.outer(wx, wy).ravel()
+def _edges(shape: tuple[int, ...], axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge arrays (i, j, tau) joining index-array neighbours, axis by axis."""
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    parts = []
+    for a, (periodic, face, length) in enumerate(axes):
+        i, j = _axis_pairs(idx, a, periodic)
+        parts.append((i.ravel(), j.ravel(), np.broadcast_to(face / length, i.shape).ravel()))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
-    def nid(ii, jj):
-        return ii * n2 + jj
 
-    # x-direction edges: per-edge transmissibility wy/dx, y-direction: wx/dy
-    ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2), indexing="ij")
-    ei_x = nid(ii, jj).ravel()
-    ej_x = nid(ii + 1, jj).ravel()
-    tx = np.broadcast_to(wy / dx, ii.shape).ravel().copy()
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2 - 1), indexing="ij")
-    ei_y = nid(ii, jj).ravel()
-    ej_y = nid(ii, jj + 1).ravel()
-    ty = np.broadcast_to((wx / dy)[:, None], ii.shape).ravel().copy()
-
-    edge_i = np.concatenate([ei_x, ei_y])
-    edge_j = np.concatenate([ej_x, ej_y])
-    trans = np.concatenate([tx, ty])
-    axis = np.concatenate([np.zeros(ei_x.size, dtype=np.int8),
-                           np.ones(ei_y.size, dtype=np.int8)])
-    length = np.concatenate([np.full(ei_x.size, dx), np.full(ei_y.size, dy)])
-    return Grid(spec, coords, w, edge_i, edge_j, trans, axis, length,
-                resolution={"n1": n1, "n2": n2}, shape=(n1, n2))
+def _build_box(spec: DomainSpec, counts: tuple[int, ...]) -> Grid:
+    """Interval (one axis) and rectangle (two axes) grids: the tensor
+    product of symmetric lines with trapezoid weights.  An edge along axis
+    a has length dx_a and as face the product of the other axes' weights."""
+    halves = ((spec.half_length,) if spec.kind == "interval"
+              else (spec.sides[0] / 2.0, spec.sides[1] / 2.0))
+    xs, dxs = zip(*(_symmetric_line(n, h) for n, h in zip(counts, halves)))
+    # each axis's weights, shaped to broadcast along that axis
+    ws = [_trapezoid_weights(n, dx).reshape(-1, *[1] * (len(counts) - 1 - a))
+          for a, (n, dx) in enumerate(zip(counts, dxs))]
+    axes = [(False, math.prod((w for b, w in enumerate(ws) if b != a), start=1.0), dx)
+            for a, dx in enumerate(dxs)]
+    coords = np.column_stack([c.ravel() for c in np.meshgrid(*xs, indexing="ij")])
+    names = ("n",) if spec.kind == "interval" else ("n1", "n2")
+    return Grid(spec, coords, math.prod(ws).ravel(), axes,
+                resolution=dict(zip(names, counts)), shape=counts)
 
 
 def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
@@ -291,35 +286,15 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     coords[:, 1] = rr * np.sin(tt)
     w = np.repeat(ring_w * dtheta, ntheta)
 
-    def nid(j, k):
-        return j * ntheta + k
-
-    # radial edges across the interior faces
-    jj, kk = np.meshgrid(np.arange(nr - 1), np.arange(ntheta), indexing="ij")
-    ei_r = nid(jj, kk).ravel()
-    ej_r = nid(jj + 1, kk).ravel()
     face_r = bnd[1:-1]                      # interior face radii
     dist_r = ring_r[1:] - ring_r[:-1]
-    tr = np.broadcast_to((face_r * dtheta / dist_r)[:, None], jj.shape).ravel().copy()
-    len_r = np.broadcast_to(dist_r[:, None], jj.shape).ravel().copy()
-
-    # angular edges within each ring (periodic), metric factor 1/r per ring
-    jj, kk = np.meshgrid(np.arange(nr), np.arange(ntheta), indexing="ij")
-    ei_t = nid(jj, kk).ravel()
-    ej_t = nid(jj, (kk + 1) % ntheta).ravel()
-    tt_tr = np.broadcast_to((ring_width / (ring_r * dtheta))[:, None], jj.shape).ravel().copy()
-    len_t = np.broadcast_to((ring_r * dtheta)[:, None], jj.shape).ravel().copy()
-
-    edge_i = np.concatenate([ei_r, ei_t])
-    edge_j = np.concatenate([ej_r, ej_t])
-    trans = np.concatenate([tr, tt_tr])
-    axis = np.concatenate([np.zeros(ei_r.size, dtype=np.int8),
-                           np.ones(ei_t.size, dtype=np.int8)])
-    length = np.concatenate([len_r, len_t])
+    # radial edges across the interior faces; angular edges within each
+    # ring (periodic), metric factor 1/r per ring
+    axes = [(False, face_r[:, None] * dtheta, dist_r[:, None]),
+            (True, ring_width[:, None], (ring_r * dtheta)[:, None])]
     polar = {"ring_radii": ring_r, "thetas": thetas, "dtheta": dtheta}
-    return Grid(spec, coords, w, edge_i, edge_j, trans, axis, length,
-                resolution={"nr": nr, "ntheta": ntheta}, shape=(nr, ntheta),
-                polar=polar)
+    return Grid(spec, coords, w, axes, resolution={"nr": nr, "ntheta": ntheta},
+                shape=(nr, ntheta), polar=polar)
 
 
 def build_grid(spec: DomainSpec, resolution) -> Grid:
@@ -334,14 +309,14 @@ def build_grid(spec: DomainSpec, resolution) -> Grid:
         n = int(resolution if np.isscalar(resolution) else resolution[0])
         if n < 8:
             raise ValueError("resolution-too-small: need at least 8 nodes")
-        return _build_interval(spec, n)
+        return _build_box(spec, (n,))
     if np.isscalar(resolution):
         resolution = (int(resolution), int(resolution))
     n1, n2 = int(resolution[0]), int(resolution[1])
     if n1 < 8 or n2 < 8:
         raise ValueError("resolution-too-small: need at least 8 per direction")
     if spec.kind == "rectangle":
-        return _build_rectangle(spec, n1, n2)
+        return _build_box(spec, (n1, n2))
     if n2 % 2:
         raise ValueError("resolution-too-small: angular count must be even")
     return _build_polar(spec, n1, n2)
@@ -416,23 +391,26 @@ def polarize(grid: Grid, u: np.ndarray, hid: int, toward=None) -> np.ndarray:
     take max(u, u o sigma), on the complement take min.
 
     The hyperplane normal is the unit vector e_hid on interval and rectangle
-    grids and (-sin a, cos a) with a = hid*pi/n_theta on polar grids.
-    toward: point/direction selecting the halfspace (default: positive side
-    of the normal).  Nodes on the hyperplane are fixed points.
+    grids and (-sin a, cos a) with a = hid*pi/n_theta on polar grids, so a
+    node's side is the sign of its coordinate x_hid, or of sin(theta - a),
+    one value per angle column.  toward: point/direction selecting the
+    halfspace (default: positive side of the normal).  Nodes on the
+    hyperplane are fixed points of the reflection, where u == u o sigma, so
+    either branch keeps them.
     """
     u = _check_field(grid, u)
-    ur = u[grid.reflection_perm(hid)]
+    ur = u[grid.reflection_perm(hid)].reshape(grid.shape)
+    u = u.reshape(grid.shape)
     if grid.is_polar:
         alpha = hid * math.pi / grid.shape[1]
         normal = np.array([-math.sin(alpha), math.cos(alpha)])
+        side = np.sin(grid.polar["thetas"] - alpha)
     else:
         normal = np.eye(grid.domain.dim)[hid]
-    s = grid.coords @ normal
+        side = grid.coords[:, hid].reshape(grid.shape)
     if toward is not None and float(np.dot(toward, normal)) < 0:
-        s = -s
-    hi = np.maximum(u, ur)
-    lo = np.minimum(u, ur)
-    return np.where(s > 0, hi, np.where(s < 0, lo, u))
+        side = -side
+    return np.where(side > 0, np.maximum(u, ur), np.minimum(u, ur)).ravel()
 
 
 def angular_profiles(grid: Grid, u: np.ndarray):
@@ -450,24 +428,19 @@ def angular_profiles(grid: Grid, u: np.ndarray):
 
 
 def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Nodal |grad u| reconstructed from averaged squared edge slopes,
-    grouped by edge direction (used only for diagnostics)."""
-    u = _check_field(grid, u)
-    n = grid.n_nodes
-    slopes2 = ((u[grid.edge_i] - u[grid.edge_j]) / grid.edge_length) ** 2
-    total = np.zeros(n)
-    for ax in (0, 1):
-        mask = grid.edge_axis == ax
-        if not mask.any():
-            continue
-        acc = np.zeros(n)
-        cnt = np.zeros(n)
-        np.add.at(acc, grid.edge_i[mask], slopes2[mask])
-        np.add.at(acc, grid.edge_j[mask], slopes2[mask])
-        np.add.at(cnt, grid.edge_i[mask], 1.0)
-        np.add.at(cnt, grid.edge_j[mask], 1.0)
-        total += np.divide(acc, cnt, out=np.zeros(n), where=cnt > 0)
-    return np.sqrt(total)
+    """Nodal |grad u|: per axis, the mean squared slope of the node's edges
+    along that axis, summed over the axes (used only for diagnostics)."""
+    u = _check_field(grid, u).reshape(grid.shape)
+    total = np.zeros(grid.shape)
+    for a, (periodic, _, length) in enumerate(grid.axes):
+        ui, uj = _axis_pairs(u, a, periodic)
+        # squared slope of each node's edge to its successor, 0 at the
+        # last node of a non-periodic axis
+        pad = [(0, int(b == a and not periodic)) for b in range(u.ndim)]
+        out = np.pad(((ui - uj) / length) ** 2, pad)
+        cnt = np.pad(np.ones(ui.shape), pad)
+        total += (out + np.roll(out, 1, axis=a)) / (cnt + np.roll(cnt, 1, axis=a))
+    return np.sqrt(total).ravel()
 
 
 # -- field I/O ---------------------------------------------------------------
@@ -499,6 +472,10 @@ def read_field_csv(grid: Grid, path) -> np.ndarray:
     with path.open(newline="") as fh:
         if fh.readline().rstrip("\r\n") != header:
             raise ValueError(f"field dump {path} has no {header} header")
+        rows = fh.tell()
+        if not fh.readline().strip():       # else loadtxt warns on stderr
+            raise ValueError(f"field dump {path} has no rows")
+        fh.seek(rows)
         # one C-level parse of every column; csv rows through np.array take
         # three times as long
         table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)

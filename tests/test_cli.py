@@ -17,6 +17,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_child(*args):
+    """Run python with args in a child process importing this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_config_roundtrip():
     cfg = RunConfig(domain="annulus", q=1.25, radii=[0.3, 0.9], nr=16,
                     ntheta=32, seed=5)
@@ -78,10 +86,7 @@ def test_solve_leaves_scipy_optimize_unimported(tmp_path):
              "rc = main(['solve', '--domain', 'disc', '--q', '1.5', '--nr', '16',\n"
              f"           '--ntheta', '32', '--starts', '1', '--out', {str(tmp_path)!r}])\n"
              "print(rc, 'scipy.optimize' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = run_child("-c", child)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
@@ -212,3 +217,16 @@ def test_verify_rejects_nonfinite_dump(tmp_path):
         (out / "report.json").write_text(json.dumps(report))
         # the intact dump is read and fails only the thresholds
         assert run(["verify", out / "report.json"]) == (2 if name == "intact" else 1), name
+
+
+def test_verify_header_only_dump(tmp_path):
+    # rejected before numpy's loadtxt warns that the input has no data; a
+    # child process, because pytest records warnings instead of printing them
+    grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
+    (tmp_path / "field.csv").write_text("x,weight,value\r\n")
+    report = {"q": 1.0, "field_csv": "field.csv", **grid.to_dict()}
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    proc = run_child("-m", "nodal_lab.cli", "verify", tmp_path / "report.json")
+    assert proc.returncode == 1
+    assert "has no rows" in proc.stderr
+    assert "UserWarning" not in proc.stderr

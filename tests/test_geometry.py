@@ -75,16 +75,6 @@ def test_dirichlet_energy_linear_disc_second_order():
     assert min(rates) >= 1.8
 
 
-def test_integration_by_parts_exact(disc_grid):
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        u = rng.standard_normal(disc_grid.n_nodes)
-        v = rng.standard_normal(disc_grid.n_nodes)
-        lhs = geo.edge_form(disc_grid, u, v)
-        rhs = geo.integrate(disc_grid, v * geo.laplacian(disc_grid, u))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
 def test_size_mismatch_rejected(disc_grid):
     with pytest.raises(ValueError):
         geo.integrate(disc_grid, np.ones(3))
@@ -237,6 +227,74 @@ def test_reflections_match_index_arithmetic(case, axis):
     if grid.is_polar:
         assert (dg._angular_monotonicity_violation(grid, u, axis)
                 == _reference_monotonicity(grid, u, axis))
+
+
+def _reference_gradient_magnitude(grid, u):
+    """Nodal |grad u| by the edge loop: each edge's squared slope added to
+    both its ends and averaged per edge direction, with the direction read
+    off the node-index positions of the ends."""
+    n = grid.n_nodes
+    lower = np.unravel_index(grid.edge_i, grid.shape)
+    upper = np.unravel_index(grid.edge_j, grid.shape)
+    edge_axis = np.argmax(np.not_equal(lower, upper), axis=0)
+    edge_length = np.empty(edge_axis.size)
+    for ax, (periodic, _, length) in enumerate(grid.axes):
+        mask = edge_axis == ax
+        eshape = [m - (b == ax and not periodic) for b, m in enumerate(grid.shape)]
+        edge_length[mask] = np.broadcast_to(length, eshape)[tuple(c[mask] for c in lower)]
+    slopes2 = ((u[grid.edge_i] - u[grid.edge_j]) / edge_length) ** 2
+    total = np.zeros(n)
+    for ax in range(len(grid.shape)):
+        mask = edge_axis == ax
+        acc = np.zeros(n)
+        cnt = np.zeros(n)
+        np.add.at(acc, grid.edge_i[mask], slopes2[mask])
+        np.add.at(acc, grid.edge_j[mask], slopes2[mask])
+        np.add.at(cnt, grid.edge_i[mask], 1.0)
+        np.add.at(cnt, grid.edge_j[mask], 1.0)
+        total += np.divide(acc, cnt, out=np.zeros(n), where=cnt > 0)
+    return np.sqrt(total)
+
+
+def _edge_count(grid):
+    res = grid.resolution
+    if grid.kind == "interval":
+        return res["n"] - 1
+    if grid.kind == "rectangle":
+        return (res["n1"] - 1) * res["n2"] + res["n1"] * (res["n2"] - 1)
+    return (res["nr"] - 1) * res["ntheta"] + res["nr"] * res["ntheta"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=reflection_cases(), seed=st.integers(0, 2**32 - 1))
+def test_edges_join_index_neighbours(case, seed):
+    grid, _, u, _ = case
+    n_edges = _edge_count(grid)
+    assert grid.edge_i.shape == grid.edge_j.shape == grid.trans.shape == (n_edges,)
+    pairs = np.unique(np.sort(np.column_stack([grid.edge_i, grid.edge_j]), axis=1), axis=0)
+    assert len(pairs) == n_edges
+    step = np.subtract(np.unravel_index(grid.edge_j, grid.shape),
+                       np.unravel_index(grid.edge_i, grid.shape))
+    assert np.array_equal(np.count_nonzero(step, axis=0), np.ones(n_edges))
+    for ax, m in enumerate(grid.shape):
+        wraps = step[ax] == 1 - m
+        assert np.all((step[ax] == 0) | (step[ax] == 1) | wraps)
+        # only the angle axis of a polar grid is periodic
+        assert wraps.any() == (grid.is_polar and ax == 1)
+    assert np.all(grid.trans > 0)
+    # adjointness: the edge form is the quadrature of v times the Laplacian,
+    # the natural Neumann condition
+    v = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    assert geo.edge_form(grid, u, v) == pytest.approx(
+        geo.integrate(grid, v * geo.laplacian(grid, u)), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=reflection_cases())
+def test_gradient_magnitude_matches_edge_loop(case):
+    grid, _, u, _ = case
+    assert np.array_equal(geo.gradient_magnitude(grid, u),
+                          _reference_gradient_magnitude(grid, u))
 
 
 def test_angular_profiles(disc_grid):
