@@ -18,6 +18,12 @@ from pathlib import Path
 from . import __version__
 
 _DOMAINS = ("interval", "rectangle", "disc", "annulus")
+# rectangle and annulus sizes when the config leaves them unset
+_SIZE_DEFAULTS = {"sides": [1.0, 1.0], "radii": [0.5, 1.0]}
+# verify's verdict thresholds.  The constraint allowance is relative to
+# |Omega|: it covers sign-set quantization when a continuum solution is
+# sampled onto the grid (about one layer of boundary cells).
+MAX_INTERIOR, MAX_BRACKET, MAX_FLUX, MAX_CONSTRAINT = 0.1, 1e-8, 1e-8, 0.02
 
 
 @dataclass
@@ -52,25 +58,23 @@ class RunConfig:
         return cls(**d)
 
     def domain_spec(self):
+        """The domain, from the field named after its kind's size parameter."""
         from . import geometry
-        if self.domain == "interval":
-            return geometry.DomainSpec.interval(self.half_length)
-        if self.domain == "rectangle":
-            a, b = self.sides if self.sides else (1.0, 1.0)
-            return geometry.DomainSpec.rectangle(a, b)
-        if self.domain == "disc":
-            return geometry.DomainSpec.disc(self.radius)
-        if self.domain == "annulus":
-            rin, rout = self.radii if self.radii else (0.5, 1.0)
-            return geometry.DomainSpec.annulus(rin, rout)
-        raise ValueError(f"unknown domain: {self.domain!r}")
+        if self.domain not in _DOMAINS:
+            raise ValueError(f"unknown domain: {self.domain!r}")
+        size = geometry._KINDS[self.domain][0]
+        value = getattr(self, size)
+        return geometry.DomainSpec.from_dict(
+            {"kind": self.domain, size: _SIZE_DEFAULTS.get(size) if value is None else value})
 
     def resolution(self):
-        if self.domain == "interval":
-            return self.n
-        if self.domain == "rectangle":
-            return (self.n, self.n)
-        return (self.nr, self.ntheta)
+        """n nodes per direction on an interval or rectangle, else (nr, ntheta)."""
+        return (self.nr, self.ntheta) if self.domain in ("disc", "annulus") else self.n
+
+    def solve_config(self):
+        """The SolveConfig made of this config's fields of the same names."""
+        from .minimize import SolveConfig
+        return SolveConfig(**{f.name: getattr(self, f.name) for f in fields(SolveConfig)})
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -113,19 +117,21 @@ def _diagnose(grid, u, q):
     return out, curve
 
 
+def _setup(args):
+    """The run config (the --config file's values, each overridden by its
+    flag when given), its grid and its solve config."""
+    from . import geometry
+    cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text()) if args.config else {})
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
+    return cfg, geometry.build_grid(cfg.domain_spec(), cfg.resolution()), cfg.solve_config()
+
+
 def cmd_solve(args) -> int:
     from . import diagnostics, functional, geometry, minimize
-    try:
-        cfg = _config_from_args(args)
-        spec = cfg.domain_spec()
-        grid = geometry.build_grid(spec, cfg.resolution())
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg, grid, scfg = _setup(args)
     prob = functional.ProblemSpec(grid, cfg.q)
-    scfg = minimize.SolveConfig(seed=cfg.seed, starts=cfg.starts,
-                                max_iter=cfg.max_iter, grad_tol=cfg.grad_tol,
-                                energy_tol=cfg.energy_tol)
     t0 = time.perf_counter()
     report = minimize.multistart(prob, scfg)
     elapsed = time.perf_counter() - t0
@@ -161,9 +167,9 @@ def cmd_radial(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = {"N": n_dim, "q": q, "version": __version__}
 
-    profile = radial.shoot_neumann(q, n_dim, tol=args.tol)
-    # the shot profile does not depend on tol, so for q > 1 its energy is
-    # exactly m_radial(n_dim, q); q = 1 keeps the closed form
+    # shoot_neumann fails unless |u'(1)| <= 1e-8.  For q > 1 the profile's
+    # energy is exactly m_radial(n_dim, q); q = 1 keeps the closed form
+    profile = radial.shoot_neumann(q, n_dim)
     m_r = radial.m_radial(n_dim, q) if q == 1.0 else radial.profile_energy(profile)
     payload["m_r"] = m_r
     payload["shoot"] = {
@@ -245,12 +251,10 @@ def cmd_verify(args) -> int:
           f"bracket_violation={res.bracket_violation:.3e} "
           f"flux_norm={res.flux_norm:.3e} "
           f"constraint_residual={check.residual:.3e}")
-    # the constraint allowance covers sign-set quantization when a continuum
-    # solution is sampled onto the grid (about one layer of boundary cells)
-    ok = (res.interior_norm <= args.max_interior
-          and res.bracket_violation <= args.max_bracket
-          and res.flux_norm <= args.max_flux
-          and check.residual <= args.max_constraint * grid.domain.measure)
+    ok = (res.interior_norm <= MAX_INTERIOR
+          and res.bracket_violation <= MAX_BRACKET
+          and res.flux_norm <= MAX_FLUX
+          and check.residual <= MAX_CONSTRAINT * grid.domain.measure)
     if grid.is_polar:
         fs = diagnostics.foliated_schwarz_check(grid, u)
         print(f"nodal_domains={diagnostics.nodal_domains(grid, u)} "
@@ -261,17 +265,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import geometry, minimize
-    try:
-        q_list = [float(s) for s in args.q_list.split(",") if s]
-        cfg = _config_from_args(args)
-        grid = geometry.build_grid(cfg.domain_spec(), cfg.resolution())
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    scfg = minimize.SolveConfig(seed=cfg.seed, starts=cfg.starts,
-                                max_iter=cfg.max_iter, grad_tol=cfg.grad_tol,
-                                energy_tol=cfg.energy_tol)
+    from . import minimize
+    q_list = [float(s) for s in args.q_list.split(",") if s]
+    cfg, grid, scfg = _setup(args)
     t0 = time.perf_counter()
     reports = minimize.continuation_sweep(grid, q_list, scfg)
     out = Path(cfg.out)
@@ -288,25 +284,6 @@ def cmd_sweep(args) -> int:
               f"energy={rep.energy:.9f}  ({rep.constraint})")
     print(f"wrote {out / 'sweep.csv'}")
     return 0 if all(r.converged for r in reports) else 2
-
-
-def _config_from_args(args) -> RunConfig:
-    base = {}
-    if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text())
-    cfg = RunConfig.from_dict(base)
-    for name in ("domain", "q", "half_length", "radius", "n", "nr", "ntheta",
-                 "seed", "starts", "max_iter", "grad_tol", "energy_tol", "out"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "sides", None):
-        cfg.sides = [float(v) for v in args.sides]
-    if getattr(args, "radii", None):
-        cfg.radii = [float(v) for v in args.radii]
-    if cfg.domain not in _DOMAINS:
-        raise ValueError(f"unknown domain: {cfg.domain!r}")
-    return cfg
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
@@ -346,7 +323,6 @@ def main(argv=None) -> int:
     p_rad = sub.add_parser("radial", help="radial two-point solve and bounds")
     p_rad.add_argument("--N", type=int, required=True)
     p_rad.add_argument("--q", type=float, default=1.0)
-    p_rad.add_argument("--tol", type=float, default=1e-8)
     p_rad.add_argument("--out", type=str, default="out")
 
     p_bnd = sub.add_parser("bounds", help="test-function bounds vs radial energies")
@@ -357,23 +333,21 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="re-run diagnostics on a stored field")
     p_ver.add_argument("report", type=str, help="path to a solve report JSON")
     p_ver.add_argument("--q", type=float, default=None)
-    p_ver.add_argument("--max-interior", type=float, default=0.1)
-    p_ver.add_argument("--max-bracket", type=float, default=1e-8)
-    p_ver.add_argument("--max-flux", type=float, default=1e-8)
-    p_ver.add_argument("--max-constraint", type=float, default=0.02,
-                       help="constraint residual allowance, relative to |Omega|")
 
     p_swp = sub.add_parser("sweep", help="exponent continuation study")
     p_swp.add_argument("--q-list", type=str, required=True,
                        help="descending comma-separated exponents in [1, 2)")
     _add_solve_args(p_swp)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:           # usage errors exit 1, --help exits 0
+        return 1 if exc.code else 0
     handler = {"solve": cmd_solve, "radial": cmd_radial, "bounds": cmd_bounds,
                "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
     try:
         return handler(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,23 +83,23 @@ def write_zero_curve_csv(curve: ZeroMeasureCurve, path) -> None:
 
 def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
     """Number of edge-connected components of {u > threshold} plus those of
-    {u < -threshold} (flood fill on the grid adjacency)."""
+    {u < -threshold}, threshold >= 0.
+
+    Each node is labelled 1, -1 or 0 by that test, and one component
+    labelling runs over the edges whose ends share a nonzero label; every
+    0-labelled node is then a component of its own and is not counted.
+    """
+    if not threshold >= 0:
+        raise ValueError(f"nodal_domains threshold must be >= 0, got {threshold!r}")
     u = np.asarray(u, dtype=float)
-    total = 0
-    for sel in (u > threshold, u < -threshold):
-        idx = np.flatnonzero(sel)
-        if idx.size == 0:
-            continue
-        renum = -np.ones(grid.n_nodes, dtype=int)
-        renum[idx] = np.arange(idx.size)
-        keep = sel[grid.edge_i] & sel[grid.edge_j]
-        rows = renum[grid.edge_i[keep]]
-        cols = renum[grid.edge_j[keep]]
-        adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                            shape=(idx.size, idx.size))
-        ncomp, _ = connected_components(adj, directed=False)
-        total += int(ncomp)
-    return total
+    label = (u > threshold).astype(np.int8) - (u < -threshold)
+    li, lj = label[grid.edge_i], label[grid.edge_j]
+    keep = (li == lj) & (li != 0)
+    n = grid.n_nodes
+    adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)),
+                         (grid.edge_i[keep], grid.edge_j[keep])), shape=(n, n))
+    ncomp, _ = connected_components(adj, directed=False)
+    return int(ncomp) - int(np.count_nonzero(label == 0))
 
 
 @dataclass

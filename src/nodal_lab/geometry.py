@@ -19,7 +19,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_KINDS = ("interval", "rectangle", "disc", "annulus")
+# kind -> (its size parameter, the names of its node counts).  The size
+# parameter is the DomainSpec field the kind's constructor fills, and the
+# counts name the axes of the grid's shape in order.
+_KINDS = {
+    "interval": ("half_length", ("n",)),
+    "rectangle": ("sides", ("n1", "n2")),
+    "disc": ("radius", ("nr", "ntheta")),
+    "annulus": ("radii", ("nr", "ntheta")),
+}
 
 
 @dataclass(frozen=True)
@@ -81,29 +89,16 @@ class DomainSpec:
         return math.pi * (rout**2 - rin**2)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "interval":
-            d["half_length"] = self.half_length
-        elif self.kind == "rectangle":
-            d["sides"] = list(self.sides)
-        elif self.kind == "disc":
-            d["radius"] = self.radius
-        else:
-            d["radii"] = list(self.radii)
-        return d
+        size = _KINDS[self.kind][0]
+        value = getattr(self, size)
+        return {"kind": self.kind, size: list(value) if isinstance(value, tuple) else value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
         kind = d["kind"]
-        if kind == "interval":
-            return cls.interval(d["half_length"])
-        if kind == "rectangle":
-            return cls.rectangle(*d["sides"])
-        if kind == "disc":
-            return cls.disc(d["radius"])
-        if kind == "annulus":
-            return cls.annulus(*d["radii"])
-        raise ValueError(f"invalid-spec: unknown domain kind {kind!r}")
+        if kind not in _KINDS:
+            raise ValueError(f"invalid-spec: unknown domain kind {kind!r}")
+        return getattr(cls, kind)(*np.ravel(d[_KINDS[kind][0]]).tolist())
 
 
 class Grid:
@@ -125,12 +120,11 @@ class Grid:
     the constant fields.  Construct via build_grid().
     """
 
-    def __init__(self, domain, coords, weights, axes, resolution, shape, polar=None):
+    def __init__(self, domain, coords, weights, axes, shape, polar=None):
         self.domain = domain
         self.coords = coords
         self.weights = weights
         self.axes = axes          # per axis (periodic, face, length)
-        self.resolution = resolution
         self.shape = shape        # row-major node layout: (n,), (n1, n2) or (n_r, n_theta)
         self.polar = polar        # ring_radii, thetas, dtheta (disc/annulus)
         self.n_nodes = coords.shape[0]
@@ -149,6 +143,11 @@ class Grid:
     @property
     def is_polar(self) -> bool:
         return self.polar is not None
+
+    @property
+    def resolution(self) -> dict:
+        """The node counts by name: {"n"}, {"n1", "n2"} or {"nr", "ntheta"}."""
+        return dict(zip(_KINDS[self.kind][1], self.shape))
 
     @property
     def x1(self) -> np.ndarray:
@@ -173,25 +172,8 @@ class Grid:
             self._h1_solve = spla.factorized(mat)
         return self._h1_solve(rhs)
 
-    def reflection_perm(self, hid: int) -> np.ndarray:
-        """Node permutation of the reflection across hyperplane hid.
-
-        On interval and rectangle grids it flips axis hid of the node-index
-        array; on polar grids it maps angle column k to (hid - k) mod
-        n_theta, the reflection across the line at angle hid*pi/n_theta.
-        """
-        idx = np.arange(self.n_nodes).reshape(self.shape)
-        if self.is_polar:
-            ntheta = self.shape[1]
-            if not 0 <= hid < ntheta:
-                raise ValueError(f"unsupported-hyperplane: id {hid} on polar grid")
-            return idx[:, (hid - np.arange(ntheta)) % ntheta].ravel()
-        if not 0 <= hid < len(self.shape):
-            raise ValueError(f"unsupported-hyperplane: id {hid} on {self.kind}")
-        return np.flip(idx, axis=hid).ravel()
-
     def to_dict(self) -> dict:
-        return {"domain": self.domain.to_dict(), "resolution": dict(self.resolution)}
+        return {"domain": self.domain.to_dict(), "resolution": self.resolution}
 
     def __repr__(self):
         return f"Grid({self.kind}, {self.resolution}, n={self.n_nodes})"
@@ -244,9 +226,7 @@ def _build_box(spec: DomainSpec, counts: tuple[int, ...]) -> Grid:
     axes = [(False, math.prod((w for b, w in enumerate(ws) if b != a), start=1.0), dx)
             for a, dx in enumerate(dxs)]
     coords = np.column_stack([c.ravel() for c in np.meshgrid(*xs, indexing="ij")])
-    names = ("n",) if spec.kind == "interval" else ("n1", "n2")
-    return Grid(spec, coords, math.prod(ws).ravel(), axes,
-                resolution=dict(zip(names, counts)), shape=counts)
+    return Grid(spec, coords, math.prod(ws).ravel(), axes, shape=counts)
 
 
 def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
@@ -293,43 +273,31 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     axes = [(False, face_r[:, None] * dtheta, dist_r[:, None]),
             (True, ring_width[:, None], (ring_r * dtheta)[:, None])]
     polar = {"ring_radii": ring_r, "thetas": thetas, "dtheta": dtheta}
-    return Grid(spec, coords, w, axes, resolution={"nr": nr, "ntheta": ntheta},
-                shape=(nr, ntheta), polar=polar)
+    return Grid(spec, coords, w, axes, shape=(nr, ntheta), polar=polar)
 
 
 def build_grid(spec: DomainSpec, resolution) -> Grid:
     """Build a grid for the given domain.
 
     resolution: node count n for an interval, (n1, n2) node counts for a
-    rectangle, (nr, ntheta) ring/angle counts for disc and annulus.  At least
-    8 per direction; polar grids need an even angle count so that axis
-    reflections are exact node permutations.
+    rectangle, (nr, ntheta) ring/angle counts for disc and annulus; one
+    count stands for every direction.  At least 8 per direction; polar grids
+    need an even angle count so that axis reflections are exact node
+    permutations.
     """
-    if spec.kind == "interval":
-        n = int(resolution if np.isscalar(resolution) else resolution[0])
-        if n < 8:
-            raise ValueError("resolution-too-small: need at least 8 nodes")
-        return _build_box(spec, (n,))
-    if np.isscalar(resolution):
-        resolution = (int(resolution), int(resolution))
-    n1, n2 = int(resolution[0]), int(resolution[1])
-    if n1 < 8 or n2 < 8:
+    counts = tuple(int(n) for n in np.broadcast_to(resolution, len(_KINDS[spec.kind][1])))
+    if min(counts) < 8:
         raise ValueError("resolution-too-small: need at least 8 per direction")
-    if spec.kind == "rectangle":
-        return _build_box(spec, (n1, n2))
-    if n2 % 2:
+    if spec.kind in ("interval", "rectangle"):
+        return _build_box(spec, counts)
+    if counts[1] % 2:
         raise ValueError("resolution-too-small: angular count must be even")
-    return _build_polar(spec, n1, n2)
+    return _build_polar(spec, *counts)
 
 
 def grid_from_dict(d: dict) -> Grid:
     spec = DomainSpec.from_dict(d["domain"])
-    res = d["resolution"]
-    if spec.kind == "interval":
-        return build_grid(spec, res["n"])
-    if spec.kind == "rectangle":
-        return build_grid(spec, (res["n1"], res["n2"]))
-    return build_grid(spec, (res["nr"], res["ntheta"]))
+    return build_grid(spec, [d["resolution"][name] for name in _KINDS[spec.kind][1]])
 
 
 # -- field operations -------------------------------------------------------
@@ -379,11 +347,20 @@ def reflect(grid: Grid, u: np.ndarray, hid: int) -> np.ndarray:
     """Compose a field with the reflection across hyperplane hid (exact
     node permutation, no interpolation).
 
-    Interval: hid 0 is x -> -x.  Rectangle: hid 0 flips x1, hid 1 flips x2.
-    Polar grids: hid k reflects across the line at angle k*pi/ntheta.
+    Interval: hid 0 is x -> -x.  Rectangle: hid 0 flips x1, hid 1 flips x2;
+    both flip axis hid of the field's node array.  Polar grids: hid k
+    reflects across the line at angle k*pi/ntheta: angle column j of the
+    result is column (k - j) mod ntheta of u.
     """
-    u = _check_field(grid, u)
-    return u[grid.reflection_perm(hid)]
+    u = _check_field(grid, u).reshape(grid.shape)
+    if grid.is_polar:
+        ntheta = grid.shape[1]
+        if not 0 <= hid < ntheta:
+            raise ValueError(f"unsupported-hyperplane: id {hid} on polar grid")
+        return u[:, (hid - np.arange(ntheta)) % ntheta].ravel()
+    if not 0 <= hid < len(grid.shape):
+        raise ValueError(f"unsupported-hyperplane: id {hid} on {grid.kind}")
+    return np.flip(u, axis=hid).ravel()
 
 
 def polarize(grid: Grid, u: np.ndarray, hid: int, toward=None) -> np.ndarray:
@@ -398,9 +375,8 @@ def polarize(grid: Grid, u: np.ndarray, hid: int, toward=None) -> np.ndarray:
     hyperplane are fixed points of the reflection, where u == u o sigma, so
     either branch keeps them.
     """
-    u = _check_field(grid, u)
-    ur = u[grid.reflection_perm(hid)].reshape(grid.shape)
-    u = u.reshape(grid.shape)
+    ur = reflect(grid, u, hid).reshape(grid.shape)
+    u = _check_field(grid, u).reshape(grid.shape)
     if grid.is_polar:
         alpha = hid * math.pi / grid.shape[1]
         normal = np.array([-math.sin(alpha), math.cos(alpha)])

@@ -50,6 +50,22 @@ def polar_coords(grid):
     return r, th
 
 
+@st.composite
+def small_grids(draw):
+    """A grid of any of the four kinds with 8 to 40 nodes per direction."""
+    kind = draw(st.sampled_from(("interval", "rectangle", "disc", "annulus")))
+    if kind == "interval":
+        return geometry.build_grid(geometry.DomainSpec.interval(draw(st.floats(0.5, 3.0))),
+                                   draw(st.integers(8, 40)))
+    if kind == "rectangle":
+        spec = geometry.DomainSpec.rectangle(draw(st.floats(0.5, 3.0)),
+                                             draw(st.floats(0.5, 3.0)))
+        return geometry.build_grid(spec, (draw(st.integers(8, 20)), draw(st.integers(8, 20))))
+    spec = (geometry.DomainSpec.disc(1.0) if kind == "disc"
+            else geometry.DomainSpec.annulus(draw(st.floats(0.1, 0.8)), 1.0))
+    return geometry.build_grid(spec, (draw(st.integers(8, 16)), 2 * draw(st.integers(4, 20))))
+
+
 # Property tests draw fields on a coarse interval grid, which keeps their
 # reference computations cheap
 PROP_GRID = geometry.build_grid(geometry.DomainSpec.interval(1.0), 257)

@@ -37,6 +37,33 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"qq": 3})
 
 
+def test_domain_spec_defaults():
+    assert RunConfig(domain="interval").domain_spec() == geo.DomainSpec.interval(1.0)
+    assert RunConfig(domain="rectangle").domain_spec() == geo.DomainSpec.rectangle(1.0, 1.0)
+    assert RunConfig(domain="disc").domain_spec() == geo.DomainSpec.disc(1.0)
+    assert RunConfig(domain="annulus").domain_spec() == geo.DomainSpec.annulus(0.5, 1.0)
+    assert RunConfig(domain="rectangle", sides=[2.0, 1.0]).domain_spec() == \
+        geo.DomainSpec.rectangle(2.0, 1.0)
+    with pytest.raises(ValueError, match="unknown domain"):
+        RunConfig(domain="hexagon").domain_spec()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bogus"],                                   # unknown flag
+    ["radial"],                                             # missing --N
+    ["radial", "--N", "x"],                                 # malformed --N
+    ["verify", "report.json", "--max-interior", "1"],       # removed threshold flag
+])
+def test_usage_errors_exit_one(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: nodal-lab")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: nodal-lab verify")
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": "disc", "qq": 3}')

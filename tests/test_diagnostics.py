@@ -3,12 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
 
-from conftest import polar_coords
+from conftest import polar_coords, small_grids, smooth_random_field
 
 
 def test_zero_measure_interval(interval_grid):
@@ -59,6 +63,46 @@ def test_nodal_domains_invariances(disc_grid, disc_min_q1):
 def test_nodal_domains_four_quadrants(disc_grid):
     _, th = polar_coords(disc_grid)
     assert dg.nodal_domains(disc_grid, np.cos(2 * th)) == 4
+
+
+def _reference_nodal_domains(grid, u, threshold):
+    """Two passes, one per sign set: each set's nodes renumbered and its
+    components counted on the edges with both ends in the set."""
+    total = 0
+    for sel in (u > threshold, u < -threshold):
+        idx = np.flatnonzero(sel)
+        if idx.size == 0:
+            continue
+        renum = -np.ones(grid.n_nodes, dtype=int)
+        renum[idx] = np.arange(idx.size)
+        keep = sel[grid.edge_i] & sel[grid.edge_j]
+        adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)),
+                             (renum[grid.edge_i[keep]], renum[grid.edge_j[keep]])),
+                            shape=(idx.size, idx.size))
+        total += connected_components(adj, directed=False)[0]
+    return total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1),
+       field=st.sampled_from(("noise", "rounded", "smooth", "smooth-rounded")),
+       level=st.just(0.0) | st.floats(0.01, 0.9))
+def test_nodal_domains_matches_two_pass(grid, seed, field, level):
+    # white noise gives many small components, smooth fields few large
+    # ones; rounding leaves plateaus, exact zeros among them
+    rng = np.random.default_rng(seed)
+    u = (smooth_random_field(grid, rng) if field.startswith("smooth")
+         else rng.standard_normal(grid.n_nodes))
+    scale = float(np.max(np.abs(u)))
+    if field.endswith("rounded"):
+        u = np.round(3.0 * u / scale) * scale / 3.0
+    threshold = level * scale
+    assert dg.nodal_domains(grid, u, threshold) == _reference_nodal_domains(grid, u, threshold)
+
+
+def test_nodal_domains_rejects_negative_threshold(disc_grid):
+    with pytest.raises(ValueError):
+        dg.nodal_domains(disc_grid, disc_grid.x1, -0.1)
 
 
 def test_radiality_deviation(disc_grid):

@@ -175,6 +175,20 @@ def reference_shift(grid, u, q):
             hi = mid
 
 
+def shift_slack(grid, u, q, c):
+    """How far c_shift(u) may sit from the exact root c.  For q > 1 it may
+    stop once |F(c)| <= 1e-13 |Omega| (its early stop), which leaves c
+    uncertain by that over the slope F'; near the root F is also only
+    resolved to a few doubles."""
+    early = 0.0
+    if q > 1.0:
+        dist = np.abs(u + c)
+        nz = dist > 0.0
+        slope = (q - 1.0) * float(np.dot(grid.weights[nz], dist[nz] ** (q - 2.0)))
+        early = 1e-13 * grid.domain.measure / slope
+    return 1e-12 * float(np.max(u) - np.min(u)) + early + 4.0 * np.spacing(abs(c))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(q=st.floats(1.01, 1.99), u=property_fields())
 def test_c_shift_matches_reference_bisection(q, u):
@@ -184,15 +198,7 @@ def test_c_shift_matches_reference_bisection(q, u):
         c = fn.c_shift(fn.ProblemSpec(g, q), u)
     warned = any("c_shift residual" in str(w.message) for w in caught)
     ref = reference_shift(g, u, q)
-    # c_shift may stop once |F(c)| <= 1e-13 |Omega| (its early stop), which
-    # leaves c uncertain by that over the slope F'; near the root F is also
-    # only resolved to a few doubles
-    dist = np.abs(u + ref)
-    nz = dist > 0.0
-    slope = (q - 1.0) * float(np.dot(g.weights[nz], dist[nz] ** (q - 2.0)))
-    slack = (1e-12 * float(np.max(u) - np.min(u)) + 1e-13 * g.domain.measure / slope
-             + 4.0 * np.spacing(abs(ref)))
-    assert abs(c - ref) <= slack
+    assert abs(c - ref) <= shift_slack(g, u, q, ref)
     # the residual meets c_shift's own bound, or c_shift warns that it does
     # not: near q = 1 the root can sit closer to a node value than doubles
     # resolve, so that no double meets the bound, or so close to a plateau
@@ -201,6 +207,28 @@ def test_c_shift_matches_reference_bisection(q, u):
     bound = 1e-10 * max(g.domain.measure,
                         float(np.dot(g.weights, np.abs(u + c) ** (q - 1.0))))
     assert (residual > bound) == warned
+
+
+@pytest.mark.filterwarnings("ignore:c_shift residual")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.just(1.0) | st.floats(1.01, 1.99), u=property_fields(),
+       a=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_c_shift_translation_and_monotonicity(q, u, a, seed):
+    # c(u + a) = c(u) - a, and c(u + v) <= c(u) for v >= 0, each up to the
+    # slack of both calls; u + a and c - a are rounded once more
+    g = PROP_GRID
+    spec = fn.ProblemSpec(g, q)
+    c = fn.c_shift(spec, u)
+    ua = u + a
+    ca = fn.c_shift(spec, ua)
+    rounding = np.spacing(float(np.max(np.abs(ua)))) + np.spacing(abs(c - a))
+    assert abs(ca - (c - a)) <= shift_slack(g, u, q, c) + shift_slack(g, ua, q, ca) + rounding
+    rng = np.random.default_rng(seed)
+    v = np.abs(rng.standard_normal(g.n_nodes)) * 10.0 ** rng.uniform(-6.0, 1.0)
+    v[rng.random(v.size) < 0.5] = 0.0
+    uv = u + v
+    cv = fn.c_shift(spec, uv)
+    assert cv <= c + shift_slack(g, u, q, c) + shift_slack(g, uv, q, cv)
 
 
 def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):

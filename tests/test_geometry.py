@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
-from conftest import polar_coords
+from conftest import polar_coords, small_grids
 
 
 def test_domain_measures():
@@ -110,7 +111,7 @@ def test_reflect_preserves_quadrature_and_energy(disc_grid):
         geo.integrate(disc_grid, u), rel=1e-12, abs=1e-12)
     assert geo.dirichlet_energy(disc_grid, r) == pytest.approx(
         geo.dirichlet_energy(disc_grid, u), rel=1e-12)
-    perm = disc_grid.reflection_perm(9)
+    perm = geo.reflect(disc_grid, np.arange(disc_grid.n_nodes), 9).astype(int)
     assert np.array_equal(disc_grid.weights[perm], disc_grid.weights)
 
 
@@ -185,21 +186,8 @@ def reflection_cases(draw):
     """A small grid of any kind, one of its hyperplanes, a field (normal
     values, or values rounded to a few levels so that ties occur) and an
     optional orientation."""
-    kind = draw(st.sampled_from(("interval", "rectangle", "disc", "annulus")))
-    if kind == "interval":
-        grid = geo.build_grid(geo.DomainSpec.interval(draw(st.floats(0.5, 3.0))),
-                              draw(st.integers(8, 40)))
-        n_hyper = 1
-    elif kind == "rectangle":
-        spec = geo.DomainSpec.rectangle(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
-        grid = geo.build_grid(spec, (draw(st.integers(8, 20)), draw(st.integers(8, 20))))
-        n_hyper = 2
-    else:
-        spec = (geo.DomainSpec.disc(1.0) if kind == "disc"
-                else geo.DomainSpec.annulus(draw(st.floats(0.1, 0.8)), 1.0))
-        ntheta = 2 * draw(st.integers(4, 20))
-        grid = geo.build_grid(spec, (draw(st.integers(8, 16)), ntheta))
-        n_hyper = ntheta
+    grid = draw(small_grids())
+    n_hyper = grid.shape[1] if grid.is_polar else len(grid.shape)
     hid = draw(st.integers(0, n_hyper - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.standard_normal(grid.n_nodes)
@@ -215,7 +203,7 @@ def reflection_cases(draw):
 def test_reflections_match_index_arithmetic(case, axis):
     grid, hid, u, toward = case
     n = grid.n_nodes
-    perm = grid.reflection_perm(hid)
+    perm = geo.reflect(grid, np.arange(n), hid).astype(int)
     assert np.array_equal(np.sort(perm), np.arange(n))
     assert np.array_equal(perm[perm], np.arange(n))
     assert np.array_equal(perm, _reference_perm(grid, hid))
@@ -333,11 +321,24 @@ def test_field_csv_roundtrip(tmp_path, disc_grid, interval_grid):
 
 
 def test_grid_dict_roundtrip(disc_grid, interval_grid, annulus_grid):
-    for g in (disc_grid, interval_grid, annulus_grid):
-        g2 = geo.grid_from_dict(g.to_dict())
+    rect = geo.build_grid(geo.DomainSpec.rectangle(2.0, 1.0), (16, 12))
+    for g in (disc_grid, interval_grid, annulus_grid, rect):
+        g2 = geo.grid_from_dict(json.loads(json.dumps(g.to_dict())))
         assert g2.n_nodes == g.n_nodes
+        assert g2.shape == g.shape
+        assert g2.resolution == g.resolution
         assert np.array_equal(g2.coords, g.coords)
         assert np.array_equal(g2.weights, g.weights)
+    assert rect.resolution == {"n1": 16, "n2": 12}
+
+
+def test_domain_spec_dict_roundtrip():
+    for s in (geo.DomainSpec.interval(1.5), geo.DomainSpec.rectangle(2.0, 1.0),
+              geo.DomainSpec.disc(0.75), geo.DomainSpec.annulus(0.3, 0.9)):
+        assert geo.DomainSpec.from_dict(s.to_dict()) == s
+        assert geo.DomainSpec.from_dict(json.loads(json.dumps(s.to_dict()))) == s
+    with pytest.raises(ValueError, match="unknown domain kind"):
+        geo.DomainSpec.from_dict({"kind": "hexagon"})
 
 
 def test_disc_node_layout(disc_grid):
