@@ -347,9 +347,12 @@ def main(argv=None) -> int:
                "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
     try:
         return handler(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:         # a numerical failure, e.g. of shooting
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

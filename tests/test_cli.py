@@ -137,6 +137,11 @@ def test_radial_command_invalid_inputs(tmp_path):
     assert run(["radial", "--N", 3, "--q", 2.5, "--out", tmp_path]) == 1
 
 
+def test_radial_shooting_failure_exits_two(tmp_path, capsys):
+    assert run(["radial", "--N", 16, "--q", 1.99, "--out", tmp_path]) == 2
+    assert "no-sign-change-in-bracket" in capsys.readouterr().err
+
+
 def test_radial_command_q15(tmp_path):
     out = tmp_path / "rad15"
     assert run(["radial", "--N", 2, "--q", 1.5, "--out", out]) == 0

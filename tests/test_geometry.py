@@ -285,6 +285,16 @@ def test_gradient_magnitude_matches_edge_loop(case):
                           _reference_gradient_magnitude(grid, u))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
+def test_h1_solve_matches_dense_solve(grid, seed):
+    b = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    ref = np.linalg.solve(grid.stiffness.toarray() + np.diag(grid.weights), b)
+    assert np.max(np.abs(grid.h1_solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # K 1 = 0, so the solve maps the weights to the constant 1
+    assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
+
+
 def test_angular_profiles(disc_grid):
     r, th = polar_coords(disc_grid)
     profiles, means = geo.angular_profiles(disc_grid, r)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,3 +157,22 @@ def test_grid_refinement_richardson():
     rich2 = ms[1024] + (ms[1024] - ms[512]) / 3.0
     assert abs(rich1 - rich2) <= 1e-3
 
+
+
+def test_solves_without_sparse_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse factorization called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "factorized", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    for spec, res in ((geo.DomainSpec.interval(1.0), 64),
+                      (geo.DomainSpec.rectangle(2.0, 1.0), (16, 12)),
+                      (geo.DomainSpec.disc(1.0), (12, 24)),
+                      (geo.DomainSpec.annulus(0.5, 1.0), (12, 24))):
+        problem = fn.ProblemSpec(geo.build_grid(spec, res), 1.0)
+        rep = mz.multistart(problem, mz.SolveConfig(seed=1, starts=2))
+        assert np.isfinite(rep.energy) and rep.energy < 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        assert "factorized(" not in text and "splu(" not in text, path
