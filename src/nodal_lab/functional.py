@@ -133,6 +133,18 @@ def _sign_sums(grid: Grid, v: np.ndarray) -> tuple[float, float]:
     return s_minus, s_plus
 
 
+def _geometric_point(lo: float, hi: float) -> float | None:
+    """0 for a bracket around 0; else, unless its ends are within a factor
+    2, their geometric mean, with an end at 0 read as the least double."""
+    if lo < 0.0 < hi:
+        return 0.0
+    a, b = (lo, hi) if hi > 0.0 else (-hi, -lo)
+    if b <= 2.0 * a:
+        return None
+    c = math.sqrt(max(a, 5e-324)) * math.sqrt(b)     # a * b could underflow
+    return c if hi > 0.0 else -c
+
+
 def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
     """The unique constant c making u + c feasible.
 
@@ -141,7 +153,11 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
     (secant steps on the sign-change bracket, halving the value kept at a
     stale endpoint; Newton is not safe here because the integrand has
     unbounded slope near node zeros).  A secant point outside the open
-    bracket falls back to the bracket midpoint.  The first point with
+    bracket falls back to the bracket midpoint.  Once the bracket has
+    straddled 0 for 8 steps in a row, it is cut at 0 and then at the
+    geometric mean of its ends until they are within a factor 2: a plateau
+    of exact zeros at q near 1 puts the root 1e-52 to 1e-135 from 0, out of
+    reach of steps that at best halve the bracket.  The first point with
     residual below 1e-3 tol |Omega| is returned; failing that, after 200
     steps or once the bracket ends are adjacent doubles, the end with the
     smaller residual is, with a RuntimeWarning if that is above tolerance.
@@ -167,8 +183,15 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
     # endpoint that stays put for a second step in a row.
     early = 1e-3 * tol * g.domain.measure
     glo, ghi, side = flo, fhi, 0
+    straddled, geometric = 0, False
     for _ in range(200):
-        c = hi - ghi * (hi - lo) / (ghi - glo)
+        # Illinois left 0 inside the bracket for at most 5 steps in a row
+        # on the descents of the benchmark's grid solves
+        straddled = straddled + 1 if lo < 0.0 < hi else 0
+        geometric = geometric or straddled > 8
+        c = _geometric_point(lo, hi) if geometric else None
+        if c is None:
+            c = hi - ghi * (hi - lo) / (ghi - glo)
         if not lo < c < hi:
             c = 0.5 * (lo + hi)
             if not lo < c < hi:

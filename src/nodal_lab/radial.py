@@ -10,11 +10,11 @@ function upper bounds and the dimension-dependent inequality chain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "RadialProfile", "LiouvilleProfile", "ChainReport", "unit_ball_volume",
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 _R_START = 1e-8          # inner cutoff bypassing the 1/r singularity
-_ODE_TOL = 1e-10         # relative tolerance of shoot's RK45 segments
+_ODE_TOL = 1e-10         # relative tolerance of shoot's Dormand-Prince segments
 _N_SAMPLES = 4096        # uniform samples of a shot profile, plus crossings
 _MAX_SEGMENTS = 256      # sign-change cap of one shot
 
@@ -150,6 +150,185 @@ def closed_form_q1(n_dim: int, r=None, n_samples: int = 8192) -> RadialProfile:
     return RadialProfile(n_dim=n_dim, q=1.0, r=r, u=u, du=du)
 
 
+# -- Dormand-Prince 5(4) ------------------------------------------------------
+# The pair of Dormand & Prince (J. Comput. Appl. Math. 6, 1980), stepping with
+# the fifth-order solution, with the error control and starting step of
+# Hairer, Norsett & Wanner (Solving ODEs I, II.4) and Shampine's free quartic
+# dense output (Math. Comp. 46, 1986), as in scipy's RK45.  Row i holds stage
+# i's weights of theta, ..., theta^4 in y(t + theta h) = y + h sum_i b_i k_i.
+_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+@dataclass
+class _IvpResult:
+    """What solve_ivp returns: the step ends t, the states y (2, t.size),
+    status 1 if the event stopped the run (else 0), the number of
+    right-hand side evaluations and the dense output (or None)."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    nfev: int
+    sol: object
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(0.5 * (a * a + b * b))
+
+
+def _dp_step(fun, t, u, v, a1, b1, h):
+    """One step of h from (u, v) at t, given the first stage (a1, b1) =
+    fun(t, (u, v)).  Returns the state at t + h, the seven stages of u and of
+    v (the last is fun at the new state: the next step's first) and the
+    error estimates of u and v."""
+    a2, b2 = fun(t + 0.2 * h, (u + h * (a1 / 5), v + h * (b1 / 5)))
+    a3, b3 = fun(t + 0.3 * h, (u + h * (3 / 40 * a1 + 9 / 40 * a2),
+                               v + h * (3 / 40 * b1 + 9 / 40 * b2)))
+    a4, b4 = fun(t + 0.8 * h, (u + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3),
+                               v + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)))
+    a5, b5 = fun(t + 8 / 9 * h, (
+        u + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3
+                 - 212 / 729 * a4),
+        v + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
+                 - 212 / 729 * b4)))
+    a6, b6 = fun(t + h, (
+        u + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
+                 - 5103 / 18656 * a5),
+        v + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3 + 49 / 176 * b4
+                 - 5103 / 18656 * b5)))
+    un = u + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
+                  + 11 / 84 * a6)
+    vn = v + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4 - 2187 / 6784 * b5
+                  + 11 / 84 * b6)
+    a7, b7 = fun(t + h, (un, vn))
+    eu = h * (-71 / 57600 * a1 + 71 / 16695 * a3 - 71 / 1920 * a4 + 17253 / 339200 * a5
+              - 22 / 525 * a6 + 1 / 40 * a7)
+    ev = h * (-71 / 57600 * b1 + 71 / 16695 * b3 - 71 / 1920 * b4 + 17253 / 339200 * b5
+              - 22 / 525 * b6 + 1 / 40 * b7)
+    return un, vn, (a1, a2, a3, a4, a5, a6, a7), (b1, b2, b3, b4, b5, b6, b7), eu, ev
+
+
+def _interp(t, h, y, coef, x):
+    """The quartic dense output of one component of the step of h from y at
+    t, at x; coef holds its coefficients of theta, ..., theta^4.  Scalars
+    or arrays."""
+    th = (x - t) / h
+    return y + h * th * (coef[0] + th * (coef[1] + th * (coef[2] + th * coef[3])))
+
+
+def _dense_output(steps):
+    """sol(x) -> (2, x.size), the interpolant of the accepted steps, each row
+    (t, h, u, v, 7 stages of u, 7 stages of v)."""
+    s = np.array(steps)
+    t_old, h = s[:, 0], s[:, 1]
+    qu, qv = (s[:, 4:11] @ _DENSE).T, (s[:, 11:] @ _DENSE).T
+
+    def sol(x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(t_old, x, side="right") - 1, 0, t_old.size - 1)
+        return np.array([_interp(t_old[i], h[i], s[i, 2], qu[:, i], x),
+                         _interp(t_old[i], h[i], s[i, 3], qv[:, i], x)])
+    return sol
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, events=None, dense_output=False):
+    """Adaptive Dormand-Prince 5(4) integration of (u, v)' = fun(t, (u, v))
+    forward over t_span, on Python floats.
+
+    The part of scipy.integrate.solve_ivp's interface that shooting uses:
+    scalar rtol and atol, and at most one event g(t, y), always terminal,
+    with events.direction +1 or -1, that fires on a step over which
+    events.direction * g goes from <= 0 to >= 0.  The event is located on
+    that step's dense output by bisection to adjacent doubles, and the step
+    is then taken again from its start up to the event, so the last step
+    ends there.  Raises RuntimeError (tolerance-not-met) when the step falls
+    below ten doubles' spacing.
+    """
+    t, t_end = float(t_span[0]), float(t_span[1])
+    u, v = float(y0[0]), float(y0[1])
+    a1, b1 = fun(t, (u, v))
+    h = _initial_step(fun, t, u, v, a1, b1, t_end, rtol, atol)
+    nfev = 2
+    if events is not None:
+        g = events.direction * events(t, (u, v))
+    ts, us, vs, steps = [t], [u], [v], []
+    status = 0
+    while t < t_end and not status:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h, rejected = max(h, min_step), False
+        while True:
+            if h < min_step:
+                raise RuntimeError(f"tolerance-not-met: step size underflow at t = {t:.17g}")
+            t_new = min(t + h, t_end)
+            h = t_new - t
+            un, vn, ka, kb, eu, ev = _dp_step(fun, t, u, v, a1, b1, h)
+            nfev += 6
+            err = _rms(eu / (atol + rtol * max(abs(u), abs(un))),
+                       ev / (atol + rtol * max(abs(v), abs(vn))))
+            if err < 1.0:
+                break
+            h *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        h_next = h * (min(1.0, grow) if rejected else grow)
+        if events is not None:
+            g_new = events.direction * events(t_new, (un, vn))
+            if g <= 0.0 <= g_new:
+                qu, qv = (np.array([ka, kb]) @ _DENSE).tolist()
+                t_new = _event_time(events, t, t_new, u, v, qu, qv)
+                un, vn, ka, kb, _, _ = _dp_step(fun, t, u, v, a1, b1, t_new - t)
+                nfev += 6
+                status = 1
+            g = g_new
+        steps.append((t, t_new - t, u, v, *ka, *kb))
+        t, u, v, a1, b1, h = t_new, un, vn, ka[6], kb[6], h_next
+        ts.append(t)
+        us.append(u)
+        vs.append(v)
+    return _IvpResult(np.array(ts), np.array([us, vs]), status, nfev,
+                     _dense_output(steps) if dense_output else None)
+
+
+def _initial_step(fun, t, u, v, a1, b1, t_end, rtol, atol):
+    """Hairer, Norsett & Wanner's starting step for a fourth-order error
+    estimate: one explicit Euler probe (one evaluation of fun)."""
+    su, sv = atol + rtol * abs(u), atol + rtol * abs(v)
+    d0, d1 = _rms(u / su, v / sv), _rms(a1 / su, b1 / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    a2, b2 = fun(t + h0, (u + h0 * a1, v + h0 * b1))
+    d2 = _rms((a2 - a1) / su, (b2 - b1) / sv) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return min(100.0 * h0, h1, t_end - t)
+
+
+def _event_time(event, t, t_new, u, v, qu, qv):
+    """Bisect the step from t to t_new, along its dense output, down to
+    adjacent doubles for where event.direction * event reaches 0; returns the
+    upper end, so the event lies in (t, t_new]."""
+    h, lo, hi = t_new - t, t, t_new
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        y = (_interp(t, h, u, qu, mid), _interp(t, h, v, qv, mid))
+        if event.direction * event(mid, y) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 # -- shooting -----------------------------------------------------------------
 
 _S_MAX = 1e3             # unit-profile horizon; its s* is O(1-10) for 1 <= q < 2
@@ -163,39 +342,50 @@ def _check_problem(q: float, n_dim: int) -> None:
 
 
 def _radial_ode(q: float, n_dim: int, u0: float):
-    """Right-hand side of the first-order system and the regular-branch
-    state at the inner cutoff, u ~ u0 - |u0|^{q-2} u0 r^2/(2N)."""
-    f = _f_sublinear(q)
-    nn = float(n_dim)
+    """Right-hand side of the first-order system (u, u') on a segment where
+    u > 0, and the regular-branch state at the inner cutoff for u0 > 0,
+    u ~ u0 - u0^{q-1} r^2/(2N).
+
+    The forcing is |u|^{q-1} with the segment's sign taken out: the shots
+    stop each segment at the zero of u and go on with (-u, -u'), which
+    solves the same equation, so at q = 1 no step ever sees the jump of
+    sgn(u), not even the one that ends on the zero.
+    """
+    k, p = 1.0 - n_dim, q - 1.0
 
     def rhs(r, y):
-        return [y[1], -(nn - 1.0) / r * y[1] - f(y[0])]
+        return y[1], k / r * y[1] - abs(y[0]) ** p
 
-    f0 = float(f(np.asarray(u0)))
-    return rhs, [u0 - f0 * _R_START * _R_START / (2.0 * nn), -f0 * _R_START / nn]
+    f0, nn = u0 ** p, float(n_dim)
+    return rhs, (u0 - f0 * _R_START * _R_START / (2.0 * nn), -f0 * _R_START / nn)
 
 
+# terminal is for scipy's solve_ivp, which the tests compare against
 def _crossing(r, y):
     return y[0]
 _crossing.terminal = True
-_crossing.direction = 0
+_crossing.direction = -1    # u falls through 0: the end of a segment
 
 
+# u' falls through 0: past a zero, with the sign folded out, the trough
+# that follows is a peak
 def _critical(r, y):
     return y[1]
 _critical.terminal = True
-_critical.direction = 1     # u' rises through 0: the trough after the crossing
+_critical.direction = -1
 
 
 def shoot(q: float, n_dim: int, u0: float) -> RadialProfile:
     """Integrate the radial equation from the regular branch at the center.
 
-    Starts at r = 1e-8 with the series u ~ u0 - |u0|^{q-2} u0 r^2/(2N),
-    integrates segment-by-segment between sign changes (the q = 1 forcing is
-    piecewise constant, so adaptive steps stay smooth), and samples the
-    dense output on a uniform grid together with the crossing radii.  The
-    absolute tolerance scales with |u0|, so profiles of tiny amplitude (the
-    Neumann amplitude near q = 2) are resolved as well as unit ones.
+    Starts at r = 1e-8 with the series u ~ u0 - |u0|^{q-2} u0 r^2/(2N) and
+    integrates with the Dormand-Prince stepper (rtol 1e-10) one segment per
+    sign of u, each ended by the event u = 0 and the next started there as
+    (-u, -u') (see _radial_ode), so the q = 1 forcing, piecewise constant,
+    is smooth on every step.  The dense output is sampled on a uniform grid
+    together with the crossing radii, where u is 0.  The absolute tolerance
+    scales with |u0|, so profiles of tiny amplitude (the Neumann amplitude
+    near q = 2) are resolved as well as unit ones.
     """
     _check_problem(q, n_dim)
     if u0 == 0.0:
@@ -207,21 +397,14 @@ def shoot(q: float, n_dim: int, u0: float) -> RadialProfile:
     rhs, y = _radial_ode(q, n_dim, u0)
     r0 = _R_START
     segments = []
-    r_lo = r0
+    r_lo, sign = r0, 1.0
     for _ in range(_MAX_SEGMENTS):
-        sol = solve_ivp(rhs, (r_lo, 1.0), y, method="RK45", rtol=_ODE_TOL,
-                        atol=_ODE_TOL * 1e-2 * u0, dense_output=True,
-                        events=_crossing)
-        if not sol.success:
-            raise RuntimeError(f"tolerance-not-met: integrator failed: {sol.message}")
-        segments.append((r_lo, sol.t[-1], sol.sol))
-        if sol.status != 1:
+        sol = solve_ivp(rhs, (r_lo, 1.0), y, rtol=_ODE_TOL, atol=_ODE_TOL * 1e-2 * u0,
+                        events=_crossing, dense_output=True)
+        segments.append((r_lo, float(sol.t[-1]), sign, sol.sol))
+        if sol.status != 1 or sol.t[-1] >= 1.0:
             break
-        r_lo = float(sol.t[-1])
-        y = [0.0, float(sol.y[1, -1])]
-        # nudge off the event so the next segment sees the flipped sign
-        r_lo = np.nextafter(r_lo, 2.0)
-        y[0] = y[1] * 1e-300
+        r_lo, y, sign = float(sol.t[-1]), (0.0, -float(sol.y[1, -1])), -sign
     else:
         raise RuntimeError("no-sign-change-in-bracket: solution oscillates "
                            "beyond the segment cap")
@@ -231,13 +414,34 @@ def shoot(q: float, n_dim: int, u0: float) -> RadialProfile:
         np.linspace(r0, 1.0, _N_SAMPLES + 1), np.asarray(crossings)]))
     uu = np.empty_like(rr)
     dd = np.empty_like(rr)
-    for lo, hi, dense in segments:
+    for lo, hi, sign, dense in segments:
         mask = (rr >= lo) & (rr <= hi)
-        vals = dense(rr[mask])
-        uu[mask] = vals[0]
-        dd[mask] = vals[1]
+        uu[mask], dd[mask] = sign * dense(rr[mask])
+    uu[np.isin(rr, crossings)] = 0.0
     rr[-1] = 1.0
     return RadialProfile(n_dim=n_dim, q=q, r=rr, u=uu, du=dd)
+
+
+def _unit_trough(q: float, n_dim: int) -> float:
+    """s*, the first critical point after the first zero of the unit profile
+    v(0) = 1, integrated at rtol 1e-12 (u0 = s*^{-2/(2-q)} inherits its
+    relative error times 2/(2-q)).
+
+    Raises no-sign-change-in-bracket if there is none before r = 1e3, or
+    before the radius beyond which u0^2, the order of the profile's energy,
+    would fall below the smallest normal double (5.9 at q = 1.99).
+    """
+    s_max = min(_S_MAX, sys.float_info.min ** (-(2.0 - q) / 4.0))
+    rhs, y = _radial_ode(q, n_dim, 1.0)
+    unit = solve_ivp(rhs, (_R_START, s_max), y, rtol=1e-12, atol=1e-14,
+                     events=_crossing)
+    if unit.status == 1:
+        unit = solve_ivp(rhs, (float(unit.t[-1]), s_max), (0.0, -float(unit.y[1, -1])),
+                         rtol=1e-12, atol=1e-14, events=_critical)
+    if unit.status != 1:
+        raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
+                           f"zero and trough before r = {s_max:.3g}")
+    return float(unit.t[-1])
 
 
 def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8) -> RadialProfile:
@@ -254,20 +458,7 @@ def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8) -> RadialProfile:
     change sign exactly once.
     """
     _check_problem(q, n_dim)
-    rhs, y = _radial_ode(q, n_dim, 1.0)
-    # eighth order: u0 inherits the relative error of s* times 2/(2-q), and
-    # at equal cost DOP853 pins s* 10-100 times closer than RK45
-    unit = solve_ivp(rhs, (_R_START, _S_MAX), y, method="DOP853", rtol=1e-10,
-                     atol=1e-12, events=_crossing)
-    if unit.status == 1:
-        z, dz = float(unit.t[-1]), float(unit.y[1, -1])
-        # restart past the zero with the flipped sign, as in shoot
-        unit = solve_ivp(rhs, (np.nextafter(z, _S_MAX), _S_MAX), [dz * 1e-300, dz],
-                         method="DOP853", rtol=1e-10, atol=1e-12, events=_critical)
-    if unit.status != 1:
-        raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
-                           f"zero and trough before r = {_S_MAX:g}")
-    u0 = float(unit.t[-1]) ** (-2.0 / (2.0 - q))
+    u0 = _unit_trough(q, n_dim) ** (-2.0 / (2.0 - q))
     profile = shoot(q, n_dim, u0)
     if abs(float(profile.du[-1])) > tol:
         raise RuntimeError(f"tolerance-not-met: |u'(1)| = {abs(float(profile.du[-1])):.3e}")

@@ -107,7 +107,7 @@ def test_solve_deterministic_bytes(tmp_path):
 def test_solve_leaves_scipy_optimize_unimported(tmp_path):
     # importing scipy.optimize adds about 0.25 s and 50 MiB to a fresh
     # process; the grid solve path must not pull it in.  A child process,
-    # because this module imports radial, and scipy.integrate with it
+    # because the test session has scipy loaded already
     child = ("import sys\n"
              "from nodal_lab.cli import main\n"
              "rc = main(['solve', '--domain', 'disc', '--q', '1.5', '--nr', '16',\n"
@@ -116,6 +116,21 @@ def test_solve_leaves_scipy_optimize_unimported(tmp_path):
     proc = run_child("-c", child)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_radial_and_bounds_leave_scipy_unimported(tmp_path):
+    # radial and bounds shoot with radial's own Dormand-Prince stepper;
+    # scipy.integrate took about 0.8 s of each of these commands to import
+    child = ("import sys\n"
+             "from nodal_lab.cli import main\n"
+             f"out = {str(tmp_path)!r}\n"
+             "rcs = [main(['radial', '--N', '5', '--q', '1.5', '--out', out + '/a']),\n"
+             "       main(['radial', '--N', '2', '--q', '1', '--out', out + '/b']),\n"
+             "       main(['bounds', '--out', out + '/c'])]\n"
+             "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = run_child("-c", child)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_radial_command(tmp_path, capsys):

@@ -231,6 +231,31 @@ def test_c_shift_translation_and_monotonicity(q, u, a, seed):
     assert cv <= c + shift_slack(g, u, q, c) + shift_slack(g, uv, q, cv)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(q=st.floats(1.01, 1.06), share=st.floats(0.3, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_c_shift_reaches_roots_next_to_a_zero_plateau(q, share, seed):
+    # exact zeros on at least 30 % of the nodes hold the weighted median,
+    # which the root nears as q -> 1: it sits 1e-52 to 1e-135 from 0 or
+    # closer.  Steps that at best halve the bracket warned on a third of
+    # these fields within their 200-step cap
+    g = PROP_GRID
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(g.n_nodes)
+    u[rng.random(u.size) < share] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = fn.c_shift(fn.ProblemSpec(g, q), u)
+    ref = reference_shift(g, u, q)
+    assert abs(c - ref) <= shift_slack(g, u, q, ref)
+    if caught:
+        # only for a root closer to 0 than the least double, where no double
+        # next to the reference meets the bound
+        bound = 1e-10 * max(g.domain.measure,
+                            float(np.dot(g.weights, np.abs(u + ref) ** (q - 1.0))))
+        assert all(abs(fn._signed_mean(g, u, q, x)) > bound
+                   for x in (np.nextafter(ref, -1.0), ref, np.nextafter(ref, 1.0)))
+
+
 def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):
     # the dipole field has nodes within 1e-16 of the root, where F has
     # unbounded slope; bisection took 60 evaluations here

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from nodal_lab import radial as rad
@@ -159,6 +161,77 @@ def test_shoot_neumann_near_q_two(n_dim):
     p = rad.shoot_neumann(1.9, n_dim)
     assert p.sign_changes() == 1
     assert abs(p.du[-1]) <= 1e-8
+
+
+def test_shoot_neumann_amplitude_bracket():
+    p = rad.shoot_neumann(1.99, 2)          # u0 = 3.9e-117
+    assert p.sign_changes() == 1
+    assert rad.profile_energy(p) < 0.0
+    # u0 = 7.0e-217 here, whose square, the order of the energy, underflows
+    with pytest.raises(RuntimeError, match="no-sign-change-in-bracket"):
+        rad.shoot_neumann(1.99, 16)
+
+
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_shot_q1_residual_next_to_the_crossing(n_dim):
+    # every segment is integrated with u > 0 and ends on the zero, so no
+    # step sees the jump of sgn(u); when the last step of a segment crossed
+    # it, the sample next to the crossing read up to 2.8e-5
+    assert rad.radial_residual(rad.shoot_neumann(1.0, n_dim)) <= 3e-6
+
+
+@pytest.mark.parametrize("q", (1.0, 1.2, 1.5, 1.9))
+@pytest.mark.parametrize("n_dim", (2, 3, 5, 10))
+def test_unit_trough_matches_dop853(q, n_dim, monkeypatch):
+    # u0 = s*^{-2/(2-q)} inherits 2/(2-q) times the relative error of s*
+    s = rad._unit_trough(q, n_dim)
+    monkeypatch.setattr(rad, "solve_ivp", lambda fun, t_span, y0, rtol, atol, **kw:
+                        scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-13,
+                                        atol=1e-15, **kw))
+    assert s == pytest.approx(rad._unit_trough(q, n_dim), rel=1e-10, abs=0)
+
+
+# 6 and 16 crossings at q = 1, 5 at (1.5, 3, 1e-4), and the Neumann center
+# values of (1.5, 2) and (1.9, 5).  Over many more crossings at q > 1 both
+# integrators drift 1e-8 to 1e-7 from a DOP853 rtol 1e-13 reference, as the
+# cusp of |u|^{q-1} at each zero costs accuracy
+@pytest.mark.parametrize("q,n_dim,u0", [(1.0, 2, 0.01), (1.0, 3, 0.005), (1.5, 3, 1e-4),
+                                        (1.5, 2, 0.0085), (1.9, 5, 2.0e-15)])
+def test_shoot_matches_scipy_rk45(q, n_dim, u0, monkeypatch):
+    ours = rad.shoot(q, n_dim, u0)
+    monkeypatch.setattr(rad, "solve_ivp", functools.partial(scipy_solve_ivp, method="RK45"))
+    ref = rad.shoot(q, n_dim, u0)
+    assert ours.sign_changes() == ref.sign_changes()
+    _, i, j = np.intersect1d(ours.r, ref.r, return_indices=True)
+    assert i.size >= ours.r.size - ours.sign_changes()
+    assert np.max(np.abs(ours.u[i] - ref.u[j])) <= 1e-8 * np.max(np.abs(ref.u))
+    assert np.max(np.abs(ours.du[i] - ref.du[j])) <= 1e-8 * np.max(np.abs(ref.du))
+
+
+def test_solve_ivp_event_dense_output_and_nfev():
+    calls = []
+
+    def oscillator(t, y):
+        calls.append(t)
+        return y[1], -y[0]
+
+    def falling(t, y):
+        return y[0]
+    falling.direction = -1
+
+    res = rad.solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), rtol=1e-10, atol=1e-12,
+                        events=falling, dense_output=True)
+    assert res.status == 1
+    assert res.nfev == len(calls)
+    assert res.y.shape == (2, res.t.size)
+    assert res.t[-1] == pytest.approx(math.pi / 2, abs=1e-10)
+    assert np.allclose(res.y[:, -1], [0.0, -1.0], rtol=0, atol=1e-9)
+    x = np.linspace(0.0, res.t[-1], 101)
+    assert np.max(np.abs(res.sol(x) - [np.cos(x), -np.sin(x)])) <= 1e-9
+    calls.clear()
+    res = rad.solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), rtol=1e-10, atol=1e-12)
+    assert (res.status, res.t[-1], res.sol, res.nfev) == (0, 10.0, None, len(calls))
+    assert np.allclose(res.y[:, -1], [math.cos(10.0), -math.sin(10.0)], rtol=0, atol=1e-8)
 
 
 def test_shoot_neumann_center_value_n2():
