@@ -3,8 +3,8 @@ sublinear Neumann problem -Delta u = |u|^{q-2} u, u_nu = 0, 1 <= q < 2:
 constrained energy minimization on structured grids, radial two-point
 solves with closed-form references, and qualitative diagnostics.
 
-Submodule attributes are resolved lazily so that light CLI invocations do
-not pay for unused scipy stacks.
+Submodule attributes are resolved lazily, so a command imports only the
+modules it uses; every command runs on numpy alone.
 """
 
 from importlib import import_module

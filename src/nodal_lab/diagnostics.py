@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import functional, geometry
 from .geometry import Grid
@@ -85,9 +83,12 @@ def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
     """Number of edge-connected components of {u > threshold} plus those of
     {u < -threshold}, threshold >= 0.
 
-    Each node is labelled 1, -1 or 0 by that test, and one component
-    labelling runs over the edges whose ends share a nonzero label; every
-    0-labelled node is then a component of its own and is not counted.
+    Each node is labelled 1, -1 or 0 by that test, and components are
+    labelled over the edges whose ends share a nonzero label by min-label
+    hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
+    1982): each round hooks the larger root of every edge that still joins
+    two trees to the smaller, then points every node at its tree's root.
+    Every 0-labelled node stays a root of its own and is not counted.
     """
     if not threshold >= 0:
         raise ValueError(f"nodal_domains threshold must be >= 0, got {threshold!r}")
@@ -95,11 +96,20 @@ def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
     label = (u > threshold).astype(np.int8) - (u < -threshold)
     li, lj = label[grid.edge_i], label[grid.edge_j]
     keep = (li == lj) & (li != 0)
-    n = grid.n_nodes
-    adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)),
-                         (grid.edge_i[keep], grid.edge_j[keep])), shape=(n, n))
-    ncomp, _ = connected_components(adj, directed=False)
-    return int(ncomp) - int(np.count_nonzero(label == 0))
+    i, j = grid.edge_i[keep], grid.edge_j[keep]
+    root = np.arange(grid.n_nodes)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            break
+        # edges inside one tree stay there, so later rounds skip them
+        i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    return int(np.count_nonzero((root == np.arange(grid.n_nodes)) & (label != 0)))
 
 
 @dataclass

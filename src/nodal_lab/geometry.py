@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # noqa: F401  unused here; the benchmark tracer wraps it
 
 # kind -> (its size parameter, the names of its node counts).  The size
 # parameter is the DomainSpec field the kind's constructor fills, and the
@@ -116,8 +114,9 @@ class Grid:
     and node distance of those edges, arrays broadcasting over them with a
     singleton dimension wherever they are constant.  The edge list (i, j,
     transmissibility tau = face/length) defines the discrete Dirichlet form
-    sum_e tau_e (u_i - u_j)^2, which is symmetric PSD with kernel equal to
-    the constant fields.  Construct via build_grid().
+    sum_e tau_e (u_i - u_j)^2 = u.K.u, whose matrix K is symmetric PSD with
+    kernel equal to the constant fields; no code assembles K.  Construct
+    via build_grid().
     """
 
     def __init__(self, domain, coords, weights, axes, shape, polar=None):
@@ -131,7 +130,6 @@ class Grid:
         self.edge_i, self.edge_j, self.trans = _edges(shape, axes)
         for a in (coords, weights, self.trans):
             a.setflags(write=False)
-        self._stiffness = None
         self._h1_solve = None
 
     # -- basic queries ------------------------------------------------------
@@ -153,17 +151,6 @@ class Grid:
     def x1(self) -> np.ndarray:
         """First Cartesian coordinate of every node (dipole direction)."""
         return self.coords[:, 0]
-
-    @property
-    def stiffness(self) -> sp.csr_matrix:
-        """Sparse matrix K with u.K.u = discrete Dirichlet energy."""
-        if self._stiffness is None:
-            n, i, j, t = self.n_nodes, self.edge_i, self.edge_j, self.trans
-            rows = np.concatenate([i, j, i, j])
-            cols = np.concatenate([j, i, i, j])
-            vals = np.concatenate([-t, -t, t, t])
-            self._stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._stiffness
 
     def h1_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + diag(w)) x = rhs by _separable_solver, built on the
@@ -346,6 +333,16 @@ def grid_from_dict(d: dict) -> Grid:
     return build_grid(spec, [d["resolution"][name] for name in _KINDS[spec.kind][1]])
 
 
+def __getattr__(name):
+    # geometry.spla exists only for the benchmark's tracer, which wraps
+    # spla.factorized (ROADMAP item 1 removes that wrapper); scipy is
+    # imported when the tracer asks for it and on no other path
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # -- field operations -------------------------------------------------------
 
 def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -382,11 +379,37 @@ def laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Weighted graph Laplacian L_h u = (K u) / w.
 
     Sign convention: L_h approximates -Delta u, and by construction
-    edge_form(u, v) == integrate(v * laplacian(u)) exactly, which encodes
-    the natural Neumann boundary condition.
+    edge_form(u, v) == integrate(v * laplacian(u)) up to roundoff, which
+    encodes the natural Neumann boundary condition.  K u is summed axis by
+    axis from the edge fluxes, on flat slices of the node array.
     """
     u = _check_field(grid, u)
-    return (grid.stiffness @ u) / grid.weights
+    ku = np.zeros(grid.n_nodes)
+    flux = np.empty(grid.n_nodes)
+    u2, ku2, flux2 = (x.reshape(grid.shape) for x in (u, ku, flux))
+    for a, (periodic, face, length) in enumerate(grid.axes):
+        # along axis a a node's successor sits s places on in the flat
+        # order, but a node on the last slice has none there: its edge, on
+        # a periodic axis, wraps around to the first slice
+        s = math.prod(grid.shape[a + 1:])
+        pre = (slice(None),) * a
+        last, first = pre + (-1,), pre + (0,)
+        tau = face / length
+        if periodic:
+            wrap = (u2[last] - u2[first]) * np.broadcast_to(tau, grid.shape)[last]
+        # the flux (u_lo - u_hi) tau of every other edge, held at lo: added
+        # there and subtracted at hi, both on flat slices.  tau spans the
+        # edges, so every slice on a periodic axis (where the zeroed last
+        # one keeps 0) and all but the last otherwise
+        np.subtract(u[:-s], u[s:], out=flux[:-s])
+        flux2[last] = 0.0
+        flux2[pre + (slice(None, None if periodic else -1),)] *= tau
+        ku += flux
+        ku[s:] -= flux[:-s]
+        if periodic:
+            ku2[last] += wrap
+            ku2[first] -= wrap
+    return np.divide(ku, grid.weights, out=ku)
 
 
 def reflect(grid: Grid, u: np.ndarray, hid: int) -> np.ndarray:

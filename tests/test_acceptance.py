@@ -2,8 +2,8 @@
 printed PASS/FAIL line per criterion (run with -s to stream them).
 
 Command runtimes are measured in-process around cli.main so they reflect the
-tool's work, not interpreter/library import cost (the heavy scipy stacks are
-imported below before any clock starts).
+tool's work, not interpreter/library import cost (every module the commands
+use is imported below before any clock starts).
 """
 
 import json

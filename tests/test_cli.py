@@ -105,17 +105,31 @@ def test_solve_deterministic_bytes(tmp_path):
 
 
 def test_solve_leaves_scipy_optimize_unimported(tmp_path):
-    # importing scipy.optimize adds about 0.25 s and 50 MiB to a fresh
-    # process; the grid solve path must not pull it in.  A child process,
-    # because the test session has scipy loaded already
+    # the grid commands run on numpy alone: scipy.optimize added about
+    # 0.25 s and 50 MiB to a fresh process, and scipy.sparse took 0.3 s of
+    # every solve, verify and sweep to import.  A child process, because
+    # the test session has scipy loaded already
     child = ("import sys\n"
+             "def scipy_modules():\n"
+             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "import nodal_lab.geometry, nodal_lab.diagnostics\n"
+             "print(scipy_modules())\n"
              "from nodal_lab.cli import main\n"
-             "rc = main(['solve', '--domain', 'disc', '--q', '1.5', '--nr', '16',\n"
-             f"           '--ntheta', '32', '--starts', '1', '--out', {str(tmp_path)!r}])\n"
-             "print(rc, 'scipy.optimize' in sys.modules)\n")
+             f"out = {str(tmp_path)!r}\n"
+             "rcs = [main(['solve', '--domain', 'disc', '--q', '1.5', '--nr', '16',\n"
+             "             '--ntheta', '32', '--starts', '1', '--out', out + '/disc']),\n"
+             "       main(['solve', '--domain', 'interval', '--q', '1', '--n', '128',\n"
+             "             '--starts', '1', '--out', out + '/interval']),\n"
+             "       main(['verify', out + '/disc/report.json']),\n"
+             "       main(['sweep', '--domain', 'rectangle', '--q-list', '1.5,1.25',\n"
+             "             '--n', '12', '--starts', '1', '--out', out + '/sweep'])]\n"
+             "print(rcs, scipy_modules())\n"
+             "# the benchmark's tracer wraps geometry.spla.factorized\n"
+             "print(callable(nodal_lab.geometry.spla.factorized))\n")
     proc = run_child("-c", child)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    lines = proc.stdout.splitlines()
+    assert [lines[0], *lines[-2:]] == ["[]", "[0, 0, 0, 0] []", "True"]
 
 
 def test_radial_and_bounds_leave_scipy_unimported(tmp_path):

@@ -100,6 +100,74 @@ def test_nodal_domains_matches_two_pass(grid, seed, field, level):
     assert dg.nodal_domains(grid, u, threshold) == _reference_nodal_domains(grid, u, threshold)
 
 
+@pytest.fixture(scope="module")
+def fine_disc():
+    return geo.build_grid(geo.DomainSpec.disc(1.0), (128, 256))
+
+
+def test_nodal_domains_fields_match_csgraph(fine_disc):
+    r, th = polar_coords(fine_disc)
+    fields = {"dipole": fine_disc.x1,
+              "noise": np.random.default_rng(5).standard_normal(fine_disc.n_nodes),
+              "spiral": np.sin(6 * th + 20 * r),
+              "ring": np.sin(40 * r) * np.cos(3 * th)}
+    counts = {}
+    for name, u in fields.items():
+        for threshold in (0.0, 0.3):
+            counts[name, threshold] = dg.nodal_domains(fine_disc, u, threshold)
+            assert counts[name, threshold] == _reference_nodal_domains(fine_disc, u, threshold), name
+    assert counts["dipole", 0.0] == 2
+    assert counts["noise", 0.0] > 1000 and counts["spiral", 0.0] > 2 and counts["ring", 0.0] > 20
+
+
+def _snake(n1, n2):
+    """Indicator of one path winding through every other row, turning at
+    the right and left ends in turn."""
+    i, j = np.indices((n1, n2))
+    turn = np.where((i // 2) % 2 == 0, n2 - 1, 0)
+    return ((i % 2 == 0) | (j == turn)).astype(float)
+
+
+@pytest.mark.parametrize("shape", [(201, 40), (40, 201)])
+def test_nodal_domains_snake(shape):
+    # one component whose ends lie far apart along its path and in the
+    # node order, winding along the first or the last axis
+    grid = geo.build_grid(geo.DomainSpec.rectangle(3.0, 1.0), shape)
+    snake = (_snake(*shape) if shape[0] > shape[1] else _snake(*shape[::-1]).T).ravel()
+    assert dg.nodal_domains(grid, snake) == 1
+    # its complement splits into one component per gap between the rows
+    u = 2.0 * snake - 1.0
+    assert dg.nodal_domains(grid, u) == 1 + (max(shape) - 1) // 2
+    assert dg.nodal_domains(grid, u) == _reference_nodal_domains(grid, u, 0.0)
+
+
+def test_nodal_domains_empty_and_single_node_sets(disc_grid):
+    assert dg.nodal_domains(disc_grid, np.zeros(disc_grid.n_nodes)) == 0
+    assert dg.nodal_domains(disc_grid, disc_grid.x1, threshold=10.0) == 0
+    rect = geo.build_grid(geo.DomainSpec.rectangle(1.0, 2.0), (9, 12))
+    i, j = np.indices(rect.shape)
+    # a checkerboard: every node a set of its own
+    assert dg.nodal_domains(rect, np.where((i + j) % 2, 1.0, -1.0).ravel()) == rect.n_nodes
+    # isolated nodes in a zero background, of either sign
+    u = np.zeros(rect.shape)
+    u[::2, ::3] = 1.0
+    u[1::4, 1::3] = -0.5
+    assert dg.nodal_domains(rect, u.ravel()) == np.count_nonzero(u)
+    assert dg.nodal_domains(rect, u.ravel(), threshold=0.5) == np.count_nonzero(u > 0.5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.0, 0.9), positive=st.floats(0.05, 0.95))
+def test_nodal_domains_random_signs_match_csgraph(grid, seed, share, positive):
+    # signs of independent nodes: a share of zeros, the rest split between
+    # 1 and -1, from many small components to a few large ones
+    rng = np.random.default_rng(seed)
+    u = np.where(rng.random(grid.n_nodes) < positive, 1.0, -1.0)
+    u[rng.random(grid.n_nodes) < share] = 0.0
+    assert dg.nodal_domains(grid, u) == _reference_nodal_domains(grid, u, 0.0)
+
+
 def test_nodal_domains_rejects_negative_threshold(disc_grid):
     with pytest.raises(ValueError):
         dg.nodal_domains(disc_grid, disc_grid.x1, -0.1)

@@ -285,11 +285,42 @@ def test_gradient_magnitude_matches_edge_loop(case):
                           _reference_gradient_magnitude(grid, u))
 
 
+def _dense_stiffness(grid):
+    """The matrix K of the Dirichlet form, u.K.u = sum_e tau_e (u_i - u_j)^2,
+    summed edge by edge."""
+    k = np.zeros((grid.n_nodes, grid.n_nodes))
+    i, j, t = grid.edge_i, grid.edge_j, grid.trans
+    for rows, cols, vals in ((i, j, -t), (j, i, -t), (i, i, t), (j, j, t)):
+        np.add.at(k, (rows, cols), vals)
+    return k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
+def test_laplacian_matches_dense_stiffness(grid, seed):
+    u = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    ref = _dense_stiffness(grid) @ u
+    assert np.max(np.abs(geo.laplacian(grid, u) * grid.weights - ref)) \
+        <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1), c=st.floats(-1e3, 1e3))
+def test_laplacian_adjoint_to_edge_form(grid, seed, c):
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2, grid.n_nodes))
+    # |edge_form(u, v)| is at most this, by Cauchy-Schwarz
+    scale = math.sqrt(geo.dirichlet_energy(grid, u) * geo.dirichlet_energy(grid, v))
+    assert abs(geo.edge_form(grid, u, v) - geo.integrate(grid, v * geo.laplacian(grid, u))) \
+        <= 1e-12 * scale
+    assert np.array_equal(geo.laplacian(grid, np.full(grid.n_nodes, c)), np.zeros(grid.n_nodes))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
 def test_h1_solve_matches_dense_solve(grid, seed):
     b = np.random.default_rng(seed).standard_normal(grid.n_nodes)
-    ref = np.linalg.solve(grid.stiffness.toarray() + np.diag(grid.weights), b)
+    ref = np.linalg.solve(_dense_stiffness(grid) + np.diag(grid.weights), b)
     assert np.max(np.abs(grid.h1_solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
     # K 1 = 0, so the solve maps the weights to the constant 1
     assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
