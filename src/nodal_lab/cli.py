@@ -51,10 +51,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        for key in d:
-            if key not in known:
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        for key, value in d.items():
+            if key not in types:
                 raise ValueError(f"unknown config key: {key!r}")
+            if not _fits(value, types[key]):
+                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
         return cls(**d)
 
     def domain_spec(self):
@@ -75,6 +79,15 @@ class RunConfig:
         """The SolveConfig made of this config's fields of the same names."""
         from .minimize import SolveConfig
         return SolveConfig(**{f.name: getattr(self, f.name) for f in fields(SolveConfig)})
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a RunConfig field annotated so (a bool is
+    no number)."""
+    if annotation == "list[float] | None":
+        return value is None or (isinstance(value, list)
+                                 and all(_fits(v, "float") for v in value))
+    return type(value) in {"str": (str,), "float": (int, float), "int": (int,)}[annotation]
 
 
 def _write_json(path: Path, payload: dict) -> None:

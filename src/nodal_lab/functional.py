@@ -110,27 +110,25 @@ def _weighted_median_shift(grid: Grid, u: np.ndarray) -> float:
         candidates.append(0.5 * (vals[k] + vals[k + 1]))
     candidates.append(vals[min(k, len(vals) - 1)])
     for m in candidates:
-        if _balance_ok(grid, u - m):
+        if _sign_balance(grid, u - m)[0]:
             return -float(m)
     # adjacent atoms guard against an off-by-one from inexact cumsum
     for kk in (k - 1, k + 1):
-        if 0 <= kk < len(vals) and _balance_ok(grid, u - vals[kk]):
+        if 0 <= kk < len(vals) and _sign_balance(grid, u - vals[kk])[0]:
             return -float(vals[kk])
     return -float(vals[min(k, len(vals) - 1)])
 
 
-def _balance_ok(grid: Grid, v: np.ndarray) -> bool:
-    s_minus, s_plus = _sign_sums(grid, v)
-    tol = 1e-12 * grid.domain.measure
-    return s_minus <= tol and s_plus >= -tol
-
-
-def _sign_sums(grid: Grid, v: np.ndarray) -> tuple[float, float]:
+def _sign_balance(grid: Grid, v: np.ndarray) -> tuple[bool, float]:
+    """Whether v meets the q = 1 bracket int sgn_-(v) <= 0 <= int sgn_+(v),
+    up to a 1e-12 |Omega| float-summation allowance, and its residual
+    max(0, int sgn_-(v), -int sgn_+(v))."""
     # sgn_-(t) = 1_{t>0} - 1_{t<=0},  sgn_+(t) = 1_{t>=0} - 1_{t<0}
     w = grid.weights
     s_minus = float(np.sum(np.where(v > 0, w, -w)))
     s_plus = float(np.sum(np.where(v >= 0, w, -w)))
-    return s_minus, s_plus
+    tol = 1e-12 * grid.domain.measure
+    return s_minus <= tol and s_plus >= -tol, max(0.0, s_minus, -s_plus)
 
 
 def _geometric_point(lo: float, hi: float) -> float | None:
@@ -227,17 +225,12 @@ def in_constraint(spec: ProblemSpec, u: np.ndarray) -> ConstraintCheck:
 
     q > 1: residual |int |u|^{q-2} u|, member when it is below 1e-8 times
     the field scale int |u|^{q-1} (zero fields are members).
-    q = 1: the sign-balance bracket, compared exactly up to a 1e-12 |Omega|
-    float-summation allowance; residual = max(0, sum sgn_-, -sum sgn_+).
+    q = 1: the sign-balance bracket and its residual (see _sign_balance).
     """
     u = np.asarray(u, dtype=float)
     g = spec.grid
     if spec.sublinear_q1:
-        s_minus, s_plus = _sign_sums(g, u)
-        tol = 1e-12 * g.domain.measure
-        member = s_minus <= tol and s_plus >= -tol
-        residual = max(0.0, s_minus, -s_plus)
-        return ConstraintCheck(member, residual)
+        return ConstraintCheck(*_sign_balance(g, u))
     residual = abs(_signed_mean(g, u, spec.q, 0.0))
     scale = float(np.dot(g.weights, np.abs(u) ** (spec.q - 1.0)))
     return ConstraintCheck(residual <= 1e-8 * max(scale, 1e-300), residual)

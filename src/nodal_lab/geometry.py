@@ -96,7 +96,13 @@ class DomainSpec:
         kind = d["kind"]
         if kind not in _KINDS:
             raise ValueError(f"invalid-spec: unknown domain kind {kind!r}")
-        return getattr(cls, kind)(*np.ravel(d[_KINDS[kind][0]]).tolist())
+        size = _KINDS[kind][0]
+        values = np.ravel(d.get(size)).tolist()
+        count = 2 if kind in ("rectangle", "annulus") else 1
+        if len(values) != count or any(type(v) not in (int, float) for v in values):
+            raise ValueError(f"invalid-spec: {kind} {size} must be {count} number(s), "
+                             f"got {d.get(size)!r}")
+        return getattr(cls, kind)(*values)
 
 
 class Grid:

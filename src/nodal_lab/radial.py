@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 _R_START = 1e-8          # inner cutoff bypassing the 1/r singularity
-_ODE_TOL = 1e-10         # relative tolerance of shoot's Dormand-Prince segments
 _N_SAMPLES = 4096        # uniform samples of a shot profile, plus crossings
 _MAX_SEGMENTS = 256      # sign-change cap of one shot
 
@@ -341,25 +340,6 @@ def _check_problem(q: float, n_dim: int) -> None:
         raise ValueError("unsupported-N: need N >= 2")
 
 
-def _radial_ode(q: float, n_dim: int, u0: float):
-    """Right-hand side of the first-order system (u, u') on a segment where
-    u > 0, and the regular-branch state at the inner cutoff for u0 > 0,
-    u ~ u0 - u0^{q-1} r^2/(2N).
-
-    The forcing is |u|^{q-1} with the segment's sign taken out: the shots
-    stop each segment at the zero of u and go on with (-u, -u'), which
-    solves the same equation, so at q = 1 no step ever sees the jump of
-    sgn(u), not even the one that ends on the zero.
-    """
-    k, p = 1.0 - n_dim, q - 1.0
-
-    def rhs(r, y):
-        return y[1], k / r * y[1] - abs(y[0]) ** p
-
-    f0, nn = u0 ** p, float(n_dim)
-    return rhs, (u0 - f0 * _R_START * _R_START / (2.0 * nn), -f0 * _R_START / nn)
-
-
 # terminal is for scipy's solve_ivp, which the tests compare against
 def _crossing(r, y):
     return y[0]
@@ -375,91 +355,96 @@ _critical.terminal = True
 _critical.direction = -1
 
 
+def _unit_profile(q: float, n_dim: int, s_end: float, trough: bool = False) -> list:
+    """The unit profile v(0) = 1 as its sign segments (s_lo, s_hi, sign,
+    dense output of sign (v, v')), from s = 1e-8 min(1, s_end) on the
+    regular branch v ~ 1 - s^2/(2N) up to s_end or, with trough, up to s*,
+    the first critical point after the first zero.
+
+    Dormand-Prince (rtol 1e-12, atol 1e-14) runs once per segment on the
+    forcing |v|^{q-1} with the segment's sign taken out: each run ends on
+    the zero of v and the next goes on with (-v, -v'), which solves the
+    same equation, so at q = 1 no step ever sees the jump of sgn(v).
+    Raises no-sign-change-in-bracket past the segment cap.
+    """
+    k, p = 1.0 - n_dim, q - 1.0
+
+    def rhs(s, y):
+        return y[1], k / s * y[1] - abs(y[0]) ** p
+
+    lo, sign = _R_START * min(1.0, s_end), 1.0
+    y = (1.0 - lo * lo / (2.0 * n_dim), -lo / n_dim)
+    segments = []
+    for _ in range(_MAX_SEGMENTS):
+        event = _critical if trough and segments else _crossing
+        sol = solve_ivp(rhs, (lo, s_end), y, rtol=1e-12, atol=1e-14,
+                        events=event, dense_output=True)
+        hi = float(sol.t[-1])
+        segments.append((lo, hi, sign, sol.sol))
+        if sol.status != 1 or hi >= s_end or event is _critical:
+            return segments
+        lo, y, sign = hi, (0.0, -float(sol.y[1, -1])), -sign
+    raise RuntimeError("no-sign-change-in-bracket: solution oscillates "
+                       "beyond the segment cap")
+
+
+def _rescaled(q: float, n_dim: int, segments: list, u0: float, s1: float) -> RadialProfile:
+    """u(r) = u0 v(s1 r) and u'(r) = u0 s1 v'(s1 r) from the unit profile's
+    segments, at 4097 uniform radii from 1e-8 to 1 and at the crossing
+    radii, where u is 0."""
+    crossings = np.array([seg[1] for seg in segments[:-1]]) / s1
+    rr = np.unique(np.concatenate([np.linspace(_R_START, 1.0, _N_SAMPLES + 1), crossings]))
+    ss = s1 * rr
+    vv = np.empty((2, rr.size))
+    for lo, hi, sign, dense in segments:
+        mask = (ss >= lo) & (ss <= hi)
+        vv[:, mask] = sign * dense(ss[mask])
+    uu = u0 * vv[0]
+    uu[np.isin(rr, crossings)] = 0.0
+    return RadialProfile(n_dim=n_dim, q=q, r=rr, u=uu, du=u0 * s1 * vv[1])
+
+
 def shoot(q: float, n_dim: int, u0: float) -> RadialProfile:
     """Integrate the radial equation from the regular branch at the center.
 
-    Starts at r = 1e-8 with the series u ~ u0 - |u0|^{q-2} u0 r^2/(2N) and
-    integrates with the Dormand-Prince stepper (rtol 1e-10) one segment per
-    sign of u, each ended by the event u = 0 and the next started there as
-    (-u, -u') (see _radial_ode), so the q = 1 forcing, piecewise constant,
-    is smooth on every step.  The dense output is sampled on a uniform grid
-    together with the crossing radii, where u is 0.  The absolute tolerance
-    scales with |u0|, so profiles of tiny amplitude (the Neumann amplitude
-    near q = 2) are resolved as well as unit ones.
+    The equation is odd and invariant under u(r) -> mu u(mu^{(q-2)/2} r),
+    so the profile is u(r) = u0 v(s1 r) with s1 = |u0|^{(q-2)/2}: the unit
+    profile (see _unit_profile) run up to s1 and rescaled, sampled on a
+    uniform grid of (0, 1] and at the crossing radii, where u is 0.  Raises
+    no-sign-change-in-bracket past 256 sign changes, as when the first zero
+    falls inside the 1e-8 cutoff.  The cusp of |u|^{q-1} at each zero costs
+    accuracy at q > 1: against DOP853 at rtol 1e-13, u' drifts by 1.9e-9
+    of max|u'| over 9 crossings at (q, N, u0) = (1.2, 2, 1e-3) and by
+    1.5e-8 over 159 at (1.2, 10, 5e-4).
     """
     _check_problem(q, n_dim)
     if u0 == 0.0:
         raise ValueError("shooting needs u0 != 0")
-    if u0 < 0.0:
-        p = shoot(q, n_dim, -u0)
-        return RadialProfile(n_dim=n_dim, q=q, r=p.r, u=-p.u, du=-p.du)
-
-    rhs, y = _radial_ode(q, n_dim, u0)
-    r0 = _R_START
-    segments = []
-    r_lo, sign = r0, 1.0
-    for _ in range(_MAX_SEGMENTS):
-        sol = solve_ivp(rhs, (r_lo, 1.0), y, rtol=_ODE_TOL, atol=_ODE_TOL * 1e-2 * u0,
-                        events=_crossing, dense_output=True)
-        segments.append((r_lo, float(sol.t[-1]), sign, sol.sol))
-        if sol.status != 1 or sol.t[-1] >= 1.0:
-            break
-        r_lo, y, sign = float(sol.t[-1]), (0.0, -float(sol.y[1, -1])), -sign
-    else:
-        raise RuntimeError("no-sign-change-in-bracket: solution oscillates "
-                           "beyond the segment cap")
-
-    crossings = [seg[1] for seg in segments[:-1]]
-    rr = np.unique(np.concatenate([
-        np.linspace(r0, 1.0, _N_SAMPLES + 1), np.asarray(crossings)]))
-    uu = np.empty_like(rr)
-    dd = np.empty_like(rr)
-    for lo, hi, sign, dense in segments:
-        mask = (rr >= lo) & (rr <= hi)
-        uu[mask], dd[mask] = sign * dense(rr[mask])
-    uu[np.isin(rr, crossings)] = 0.0
-    rr[-1] = 1.0
-    return RadialProfile(n_dim=n_dim, q=q, r=rr, u=uu, du=dd)
-
-
-def _unit_trough(q: float, n_dim: int) -> float:
-    """s*, the first critical point after the first zero of the unit profile
-    v(0) = 1, integrated at rtol 1e-12 (u0 = s*^{-2/(2-q)} inherits its
-    relative error times 2/(2-q)).
-
-    Raises no-sign-change-in-bracket if there is none before r = 1e3, or
-    before the radius beyond which u0^2, the order of the profile's energy,
-    would fall below the smallest normal double (5.9 at q = 1.99).
-    """
-    s_max = min(_S_MAX, sys.float_info.min ** (-(2.0 - q) / 4.0))
-    rhs, y = _radial_ode(q, n_dim, 1.0)
-    unit = solve_ivp(rhs, (_R_START, s_max), y, rtol=1e-12, atol=1e-14,
-                     events=_crossing)
-    if unit.status == 1:
-        unit = solve_ivp(rhs, (float(unit.t[-1]), s_max), (0.0, -float(unit.y[1, -1])),
-                         rtol=1e-12, atol=1e-14, events=_critical)
-    if unit.status != 1:
-        raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
-                           f"zero and trough before r = {s_max:.3g}")
-    return float(unit.t[-1])
+    s1 = abs(u0) ** ((q - 2.0) / 2.0)
+    return _rescaled(q, n_dim, _unit_profile(q, n_dim, s1), u0, s1)
 
 
 def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8) -> RadialProfile:
     """Radial solution with u'(0) = u'(1) = 0 and exactly one interior sign
     change, from the scaling law instead of a search.
 
-    The nonlinearity is homogeneous of degree q - 1, so u(r) = mu v(mu^{(q-2)/2} r)
-    solves the equation whenever v does.  The unit profile v(0) = 1 is
-    integrated once, split at its first zero, up to its first critical point
-    s* after that zero; u'(1) = 0 then fixes the center value
-    u0 = s*^{-2/(2-q)}, and the profile is shot from u0.  Raises
-    tolerance-not-met if |u'(1)| > tol and no-sign-change-in-bracket if the
-    unit profile has no such critical point or the shot profile does not
-    change sign exactly once.
+    The unit profile v(0) = 1 is integrated once, up to its first critical
+    point s* after its first zero; u'(1) = 0 then fixes u0 = s*^{-2/(2-q)},
+    and the profile is the unit one rescaled (see shoot).  Raises
+    tolerance-not-met if |u'(1)| > tol and no-sign-change-in-bracket if it
+    does not change sign exactly once, or if the unit profile has no zero
+    and trough before s = 1e3, or before the s beyond which u0^2, the order
+    of the profile's energy, would fall below the smallest normal double
+    (5.9 at q = 1.99).
     """
     _check_problem(q, n_dim)
-    u0 = _unit_trough(q, n_dim) ** (-2.0 / (2.0 - q))
-    profile = shoot(q, n_dim, u0)
+    s_max = min(_S_MAX, sys.float_info.min ** (-(2.0 - q) / 4.0))
+    segments = _unit_profile(q, n_dim, s_max, trough=True)
+    s_star = segments[-1][1]
+    if s_star >= s_max:
+        raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
+                           f"zero and trough before r = {s_max:.3g}")
+    profile = _rescaled(q, n_dim, segments, s_star ** (-2.0 / (2.0 - q)), s_star)
     if abs(float(profile.du[-1])) > tol:
         raise RuntimeError(f"tolerance-not-met: |u'(1)| = {abs(float(profile.du[-1])):.3e}")
     if profile.sign_changes() != 1:

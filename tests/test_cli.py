@@ -72,6 +72,21 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     assert "qq" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ['{"domain": "rectangle", "sides": 5}',
+                                    '{"domain": "disc", "radius": [1, 2]}',
+                                    '{"domain": "disc", "q": "1.5"}'])
+def test_config_of_wrong_count_or_type_exits_one(tmp_path, config):
+    # a wrong count or type of values is a config error, not a TypeError
+    bad = tmp_path / "bad.json"
+    bad.write_text(config)
+    for command in (["solve"], ["sweep", "--q-list", "1.5,1"]):
+        res = run_child("-m", "nodal_lab.cli", *command, "--config", bad,
+                        "--out", tmp_path / "o")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+
 def test_solve_interval_and_verify(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(["solve", "--domain", "interval", "--q", 1, "--n", 512,

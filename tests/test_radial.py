@@ -180,21 +180,72 @@ def test_shot_q1_residual_next_to_the_crossing(n_dim):
     assert rad.radial_residual(rad.shoot_neumann(1.0, n_dim)) <= 3e-6
 
 
+def _dop853(fun, t_span, y0, rtol, atol, **kw):
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-13, atol=1e-15, **kw)
+
+
 @pytest.mark.parametrize("q", (1.0, 1.2, 1.5, 1.9))
 @pytest.mark.parametrize("n_dim", (2, 3, 5, 10))
 def test_unit_trough_matches_dop853(q, n_dim, monkeypatch):
     # u0 = s*^{-2/(2-q)} inherits 2/(2-q) times the relative error of s*
-    s = rad._unit_trough(q, n_dim)
-    monkeypatch.setattr(rad, "solve_ivp", lambda fun, t_span, y0, rtol, atol, **kw:
-                        scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-13,
-                                        atol=1e-15, **kw))
-    assert s == pytest.approx(rad._unit_trough(q, n_dim), rel=1e-10, abs=0)
+    def trough():
+        return rad._unit_profile(q, n_dim, rad._S_MAX, trough=True)[-1][1]
+    s = trough()
+    monkeypatch.setattr(rad, "solve_ivp", _dop853)
+    assert s == pytest.approx(trough(), rel=1e-10, abs=0)
 
 
-# 6 and 16 crossings at q = 1, 5 at (1.5, 3, 1e-4), and the Neumann center
-# values of (1.5, 2) and (1.9, 5).  Over many more crossings at q > 1 both
-# integrators drift 1e-8 to 1e-7 from a DOP853 rtol 1e-13 reference, as the
-# cusp of |u|^{q-1} at each zero costs accuracy
+@pytest.mark.parametrize("q", (1.0, 1.2, 1.5, 1.9))
+@pytest.mark.parametrize("n_dim", (2, 3, 5, 10))
+def test_shoot_neumann_integrates_once_per_segment(q, n_dim, monkeypatch):
+    # the unit profile up to its first zero, then on to its trough; the
+    # profile is that run rescaled
+    calls, solve_ivp = [], rad.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(rad, "solve_ivp", counted)
+    rad.shoot_neumann(q, n_dim)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q", (1.0, 1.2, 1.5, 1.9))
+@pytest.mark.parametrize("n_dim", (2, 3, 5, 10))
+def test_shoot_neumann_end_slope_at_roundoff(q, n_dim):
+    # r = 1 maps onto the trough the event located, so u'(1) is the
+    # rescaled v'(s*), zero up to the event's bisection to adjacent doubles
+    p = rad.shoot_neumann(q, n_dim)
+    assert abs(p.du[-1]) <= 1e-12 * np.max(np.abs(p.du))
+
+
+def test_shoot_extreme_amplitudes():
+    # u0 = 1e-30 puts the first zero near r = 2e-15, inside the 1e-8
+    # cutoff, so no sample could show the sign changes: the unit profile
+    # oscillates past the segment cap on its way to s = 1e15
+    with pytest.raises(RuntimeError, match="no-sign-change-in-bracket"):
+        rad.shoot(1.0, 2, 1e-30)
+    # s1 = 1e-10: the unit run starts at 1e-18 so that every sample maps
+    # inside it
+    p = rad.shoot(1.0, 2, 1e20)
+    assert p.r.size == 4097
+    assert p.u[0] == 1e20
+    assert p.sign_changes() == 0
+
+
+# the cusp of |u|^{q-1} at each zero costs accuracy over many crossings at
+# q > 1: 9 and 159 crossings here, with drifts of 1.9e-9 and 1.5e-8
+@pytest.mark.parametrize("q,n_dim,u0,bound", [(1.2, 2, 1e-3, 1e-8), (1.2, 10, 5e-4, 5e-8)])
+def test_shoot_drift_over_many_crossings(q, n_dim, u0, bound, monkeypatch):
+    ours = rad.shoot(q, n_dim, u0)
+    monkeypatch.setattr(rad, "solve_ivp", _dop853)
+    ref = rad.shoot(q, n_dim, u0)
+    assert ours.sign_changes() == ref.sign_changes()
+    _, i, j = np.intersect1d(ours.r, ref.r, return_indices=True)
+    assert i.size >= ours.r.size - ours.sign_changes()
+    assert np.max(np.abs(ours.du[i] - ref.du[j])) <= bound * np.max(np.abs(ref.du))
+
+
 @pytest.mark.parametrize("q,n_dim,u0", [(1.0, 2, 0.01), (1.0, 3, 0.005), (1.5, 3, 1e-4),
                                         (1.5, 2, 0.0085), (1.9, 5, 2.0e-15)])
 def test_shoot_matches_scipy_rk45(q, n_dim, u0, monkeypatch):
