@@ -27,13 +27,10 @@ __all__ = [
 
 
 def quantization_floor(grid: Grid, u: np.ndarray) -> float:
-    """One discrete jump of the field: the largest nodal difference across
-    an edge.  Below this scale, pointwise signs are not resolvable."""
+    """One discrete jump of the field: the largest difference between
+    neighbours.  Below this scale, pointwise signs are not resolvable."""
     u = np.asarray(u, dtype=float)
-    if u.size == 0:
-        return 0.0
-    d = np.abs(u[grid.edge_i] - u[grid.edge_j])
-    return float(np.max(d)) if d.size else 0.0
+    return float(np.max([np.max(np.abs(d)) for _, _, d in geometry._walk(grid, u)]))
 
 
 @dataclass
@@ -84,9 +81,9 @@ def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
     {u < -threshold}, threshold >= 0.
 
     Each node is labelled 1, -1 or 0 by that test, and components are
-    labelled over the edges whose ends share a nonzero label by min-label
+    labelled over the neighbours that share a nonzero label by min-label
     hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
-    1982): each round hooks the larger root of every edge that still joins
+    1982): each round hooks the larger root of every pair that still joins
     two trees to the smaller, then points every node at its tree's root.
     Every 0-labelled node stays a root of its own and is not counted.
     """
@@ -94,21 +91,28 @@ def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
         raise ValueError(f"nodal_domains threshold must be >= 0, got {threshold!r}")
     u = np.asarray(u, dtype=float)
     label = (u > threshold).astype(np.int8) - (u < -threshold)
-    li, lj = label[grid.edge_i], label[grid.edge_j]
-    keep = (li == lj) & (li != 0)
-    i, j = grid.edge_i[keep], grid.edge_j[keep]
+    nonzero = (label != 0).reshape(grid.shape)
+    # neighbours k, k - d that share a nonzero label: the walk over the node
+    # indices puts k's successor at k - d, or k itself where it has none, a
+    # pair that no round keeps.  Built in a comprehension, so that the
+    # walk's buffers are freed before the rounds
+    i, j = map(np.concatenate, zip(*[
+        (k, k - np.take(di, k))
+        for _, _, dl, di in geometry._walk(grid, label, np.arange(grid.n_nodes))
+        for k in [np.flatnonzero((dl == 0) & nonzero)]]))
     root = np.arange(grid.n_nodes)
+    ri, rj = i, j                       # every node is its own root
     while True:
-        ri, rj = root[i], root[j]
         cross = ri != rj
         if not cross.any():
             break
-        # edges inside one tree stay there, so later rounds skip them
+        # pairs inside one tree stay there, so later rounds skip them
         i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
+        ri, rj = root[i], root[j]
     return int(np.count_nonzero((root == np.arange(grid.n_nodes)) & (label != 0)))
 
 

@@ -3,10 +3,11 @@ exact reflection symmetries.
 
 Supported domains: symmetric interval (-L, L), origin-centered rectangle,
 disc, annulus.  Every grid is a tensor product of its axes, and the
-Dirichlet form is assembled from node pairs ("edges") of neighbours in the
-node-index array with finite-volume transmissibilities tau = face/length,
-so minimizers of the discrete energy satisfy the natural zero-flux
-boundary condition automatically; no boundary terms are ever assembled.
+Dirichlet form sums, in one walk along them, over node pairs ("edges") of
+neighbours in the node-index array with finite-volume transmissibilities
+tau = face/length, so minimizers of the discrete energy satisfy the natural
+zero-flux boundary condition automatically; no boundary terms are ever
+assembled.
 """
 
 from __future__ import annotations
@@ -41,18 +42,15 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"invalid-spec: unknown domain kind {self.kind!r}")
-        if self.kind == "interval":
-            if self.half_length is None or self.half_length <= 0:
-                raise ValueError("invalid-spec: interval half-length must be > 0")
-        elif self.kind == "rectangle":
-            if self.sides is None or min(self.sides) <= 0:
-                raise ValueError("invalid-spec: rectangle sides must be > 0")
-        elif self.kind == "disc":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("invalid-spec: disc radius must be > 0")
-        else:
-            if self.radii is None or self.radii[0] <= 0 or self.radii[0] >= self.radii[1]:
-                raise ValueError("invalid-spec: annulus needs 0 < inner < outer")
+        size = _KINDS[self.kind][0]
+        value = getattr(self, size)
+        values = value if isinstance(value, tuple) else (value,)
+        # written so that NaN fails it
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) and v > 0 for v in values):
+            raise ValueError(f"invalid-spec: {self.kind} {size} must be finite and > 0, "
+                             f"got {value!r}")
+        if self.kind == "annulus" and not values[0] < values[1]:
+            raise ValueError("invalid-spec: annulus needs 0 < inner < outer")
 
     @classmethod
     def interval(cls, half_length: float) -> "DomainSpec":
@@ -118,11 +116,11 @@ class Grid:
     every node of the index array is joined to its successor along a,
     wrapping around when periodic, and face and length are the face area
     and node distance of those edges, arrays broadcasting over them with a
-    singleton dimension wherever they are constant.  The edge list (i, j,
-    transmissibility tau = face/length) defines the discrete Dirichlet form
-    sum_e tau_e (u_i - u_j)^2 = u.K.u, whose matrix K is symmetric PSD with
-    kernel equal to the constant fields; no code assembles K.  Construct
-    via build_grid().
+    singleton dimension wherever they are constant.  With the
+    transmissibility tau = face/length they define the discrete Dirichlet
+    form sum_e tau_e (u_i - u_j)^2 = u.K.u, whose matrix K is symmetric PSD
+    with kernel equal to the constant fields; no code stores the edges or
+    assembles K.  Construct via build_grid().
     """
 
     def __init__(self, domain, coords, weights, axes, shape, polar=None):
@@ -133,8 +131,7 @@ class Grid:
         self.shape = shape        # row-major node layout: (n,), (n1, n2) or (n_r, n_theta)
         self.polar = polar        # ring_radii, thetas, dtheta (disc/annulus)
         self.n_nodes = coords.shape[0]
-        self.edge_i, self.edge_j, self.trans = _edges(shape, axes)
-        for a in (coords, weights, self.trans):
+        for a in (coords, weights):
             a.setflags(write=False)
         self._h1_solve = None
 
@@ -185,25 +182,6 @@ def _trapezoid_weights(n: int, dx: float) -> np.ndarray:
     w = np.full(n, dx)
     w[0] = w[-1] = dx / 2.0
     return w
-
-
-def _axis_pairs(x: np.ndarray, axis: int, periodic: bool):
-    """x and its successor along axis: the last slice of both is dropped
-    unless the axis is periodic, where the successor wraps around."""
-    y = np.roll(x, -1, axis=axis)
-    if periodic:
-        return x, y
-    return np.delete(x, -1, axis=axis), np.delete(y, -1, axis=axis)
-
-
-def _edges(shape: tuple[int, ...], axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge arrays (i, j, tau) joining index-array neighbours, axis by axis."""
-    idx = np.arange(math.prod(shape)).reshape(shape)
-    parts = []
-    for a, (periodic, face, length) in enumerate(axes):
-        i, j = _axis_pairs(idx, a, periodic)
-        parts.append((i.ravel(), j.ravel(), np.broadcast_to(face / length, i.shape).ravel()))
-    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
@@ -365,20 +343,44 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     return float(np.dot(grid.weights, f))
 
 
+def _walk(grid: Grid, *fields: np.ndarray):
+    """The one neighbour walk of the Dirichlet form, over flat fields.
+
+    Along axis a of grid.axes a node's successor sits prod(shape[a+1:])
+    places on in the flat node order; from the last slice along a it wraps
+    around to the first one if a is periodic, and there is none otherwise.
+    Yields per axis (a, edges, d...), one d per field, shaped like the node
+    array: every node's difference u - u(successor), 0 where it has no
+    successor.  The axis's face and length broadcast over d[edges].  The d
+    arrays are overwritten by the next axis (fewer large temporaries).
+    """
+    ds = [np.empty(grid.shape, dtype=u.dtype) for u in fields]
+    for a, (periodic, _, _) in enumerate(grid.axes):
+        s = math.prod(grid.shape[a + 1:])
+        pre = (slice(None),) * a
+        for u, d in zip(fields, ds):
+            np.subtract(u[:-s], u[s:], out=d.reshape(-1)[:-s])
+            u = u.reshape(grid.shape)
+            d[pre + (-1,)] = u[pre + (-1,)] - u[pre + (0,)] if periodic else 0
+        yield a, pre + (slice(None, None if periodic else -1),), *ds
+
+
 def dirichlet_energy(grid: Grid, u: np.ndarray) -> float:
     """Discrete Dirichlet integral of |grad u|^2; zero iff u is constant."""
-    u = _check_field(grid, u)
-    d = u[grid.edge_i] - u[grid.edge_j]
-    return float(np.dot(grid.trans, d * d))
+    return edge_form(grid, u, u)
 
 
 def edge_form(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    """Bilinear Dirichlet form sum_e tau_e (u_i - u_j)(v_i - v_j)."""
-    u = _check_field(grid, u)
-    v = _check_field(grid, v)
-    du = u[grid.edge_i] - u[grid.edge_j]
-    dv = v[grid.edge_i] - v[grid.edge_j]
-    return float(np.dot(grid.trans, du * dv))
+    """Bilinear Dirichlet form sum_e tau_e (u_i - u_j)(v_i - v_j), summed
+    axis by axis over one walk of u and v, or of u alone when v is u."""
+    u, v = _check_field(grid, u), _check_field(grid, v)
+    total = 0.0
+    for a, edges, *d in _walk(grid, *((u,) if v is u else (u, v))):
+        _, face, length = grid.axes[a]
+        p = np.multiply(d[0], d[-1], out=d[0])
+        p[edges] *= face / length
+        total += float(p.sum())
+    return total
 
 
 def laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -387,34 +389,24 @@ def laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     Sign convention: L_h approximates -Delta u, and by construction
     edge_form(u, v) == integrate(v * laplacian(u)) up to roundoff, which
     encodes the natural Neumann boundary condition.  K u is summed axis by
-    axis from the edge fluxes, on flat slices of the node array.
+    axis from the edge fluxes of the walk.
     """
     u = _check_field(grid, u)
     ku = np.zeros(grid.n_nodes)
-    flux = np.empty(grid.n_nodes)
-    u2, ku2, flux2 = (x.reshape(grid.shape) for x in (u, ku, flux))
-    for a, (periodic, face, length) in enumerate(grid.axes):
-        # along axis a a node's successor sits s places on in the flat
-        # order, but a node on the last slice has none there: its edge, on
-        # a periodic axis, wraps around to the first slice
-        s = math.prod(grid.shape[a + 1:])
+    for a, edges, flux in _walk(grid, u):
+        periodic, face, length = grid.axes[a]
+        # the flux (u_lo - u_hi) tau of every edge, held at lo: added there
+        # and subtracted at hi, s places on in the flat order, except that a
+        # wrapping edge's hi is on the first slice: its flux is subtracted
+        # there and zeroed before the flat slices
+        flux[edges] *= face / length
         pre = (slice(None),) * a
-        last, first = pre + (-1,), pre + (0,)
-        tau = face / length
+        ku += flux.reshape(-1)
         if periodic:
-            wrap = (u2[last] - u2[first]) * np.broadcast_to(tau, grid.shape)[last]
-        # the flux (u_lo - u_hi) tau of every other edge, held at lo: added
-        # there and subtracted at hi, both on flat slices.  tau spans the
-        # edges, so every slice on a periodic axis (where the zeroed last
-        # one keeps 0) and all but the last otherwise
-        np.subtract(u[:-s], u[s:], out=flux[:-s])
-        flux2[last] = 0.0
-        flux2[pre + (slice(None, None if periodic else -1),)] *= tau
-        ku += flux
-        ku[s:] -= flux[:-s]
-        if periodic:
-            ku2[last] += wrap
-            ku2[first] -= wrap
+            ku.reshape(grid.shape)[pre + (0,)] -= flux[pre + (-1,)]
+            flux[pre + (-1,)] = 0.0
+        s = math.prod(grid.shape[a + 1:])
+        ku[s:] -= flux.reshape(-1)[:-s]
     return np.divide(ku, grid.weights, out=ku)
 
 
@@ -481,16 +473,15 @@ def angular_profiles(grid: Grid, u: np.ndarray):
 def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Nodal |grad u|: per axis, the mean squared slope of the node's edges
     along that axis, summed over the axes (used only for diagnostics)."""
-    u = _check_field(grid, u).reshape(grid.shape)
+    u = _check_field(grid, u)
     total = np.zeros(grid.shape)
-    for a, (periodic, _, length) in enumerate(grid.axes):
-        ui, uj = _axis_pairs(u, a, periodic)
-        # squared slope of each node's edge to its successor, 0 at the
-        # last node of a non-periodic axis
-        pad = [(0, int(b == a and not periodic)) for b in range(u.ndim)]
-        out = np.pad(((ui - uj) / length) ** 2, pad)
-        cnt = np.pad(np.ones(ui.shape), pad)
-        total += (out + np.roll(out, 1, axis=a)) / (cnt + np.roll(cnt, 1, axis=a))
+    for a, edges, d in _walk(grid, u):
+        # squared slope of each node's edge to its successor, and edge
+        # count, 0 where it has none; rolled by one, of its predecessor's
+        slope2, count = np.zeros((2, *grid.shape))
+        slope2[edges] = (d[edges] / grid.axes[a][2]) ** 2
+        count[edges] = 1.0
+        total += (slope2 + np.roll(slope2, 1, axis=a)) / (count + np.roll(count, 1, axis=a))
     return np.sqrt(total).ravel()
 
 

@@ -18,6 +18,7 @@ trace is monotone by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,8 +48,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iter < 1 or self.starts < 1:
             raise ValueError("invalid solve config: counts must be >= 1")
-        if self.grad_tol <= 0 or self.energy_tol <= 0:
-            raise ValueError("invalid solve config: tolerances must be > 0")
+        if not all(math.isfinite(t) and t > 0 for t in (self.grad_tol, self.energy_tol)):
+            raise ValueError("invalid solve config: tolerances must be finite and > 0")
 
 
 @dataclass

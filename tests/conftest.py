@@ -44,6 +44,21 @@ def smooth_random_field(grid, rng):
     return grid.h1_solve(grid.weights * rng.standard_normal(grid.n_nodes))
 
 
+def reference_edges(grid):
+    """The edge list (i, j, tau) of the Dirichlet form, built from the
+    node-index array: along every axis each node is joined to its successor
+    (np.roll), with the last slice dropped unless the axis is periodic, and
+    tau = face/length broadcast over the edges."""
+    idx = np.arange(grid.n_nodes).reshape(grid.shape)
+    parts = []
+    for a, (periodic, face, length) in enumerate(grid.axes):
+        i, j = idx, np.roll(idx, -1, axis=a)
+        if not periodic:
+            i, j = np.delete(i, -1, axis=a), np.delete(j, -1, axis=a)
+        parts.append((i.ravel(), j.ravel(), np.broadcast_to(face / length, i.shape).ravel()))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def polar_coords(grid):
     r = np.hypot(grid.coords[:, 0], grid.coords[:, 1])
     th = np.arctan2(grid.coords[:, 1], grid.coords[:, 0])

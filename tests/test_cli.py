@@ -87,6 +87,22 @@ def test_config_of_wrong_count_or_type_exits_one(tmp_path, config):
         assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--config", '{"domain": "disc", "radius": NaN, "nr": 8, "ntheta": 16, "starts": 1}'],
+    ["--domain", "interval", "--L", "inf", "--n", 16, "--starts", 1],
+])
+def test_non_finite_size_exits_one(tmp_path, args):
+    # NaN passes a test written x <= 0; json reads NaN
+    if args[0] == "--config":
+        (tmp_path / "bad.json").write_text(args[1])
+        args = ["--config", tmp_path / "bad.json"]
+    res = run_child("-m", "nodal_lab.cli", "solve", *args, "--out", tmp_path / "o")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_interval_and_verify(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(["solve", "--domain", "interval", "--q", 1, "--n", 512,

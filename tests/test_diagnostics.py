@@ -12,7 +12,7 @@ from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
 
-from conftest import polar_coords, small_grids, smooth_random_field
+from conftest import polar_coords, reference_edges, small_grids, smooth_random_field
 
 
 def test_zero_measure_interval(interval_grid):
@@ -69,15 +69,15 @@ def _reference_nodal_domains(grid, u, threshold):
     """Two passes, one per sign set: each set's nodes renumbered and its
     components counted on the edges with both ends in the set."""
     total = 0
+    i, j, _ = reference_edges(grid)
     for sel in (u > threshold, u < -threshold):
         idx = np.flatnonzero(sel)
         if idx.size == 0:
             continue
         renum = -np.ones(grid.n_nodes, dtype=int)
         renum[idx] = np.arange(idx.size)
-        keep = sel[grid.edge_i] & sel[grid.edge_j]
-        adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)),
-                             (renum[grid.edge_i[keep]], renum[grid.edge_j[keep]])),
+        keep = sel[i] & sel[j]
+        adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)), (renum[i[keep]], renum[j[keep]])),
                             shape=(idx.size, idx.size))
         total += connected_components(adj, directed=False)[0]
     return total

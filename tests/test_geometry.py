@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
-from conftest import polar_coords, small_grids
+from conftest import polar_coords, reference_edges, small_grids
 
 
 def test_domain_measures():
@@ -26,6 +26,14 @@ def test_invalid_specs_rejected():
         geo.DomainSpec.rectangle(0.0, 1.0)
     with pytest.raises(ValueError):
         geo.DomainSpec.annulus(1.0, 0.5)
+    for bad in (math.nan, math.inf):
+        for make in (geo.DomainSpec.interval, geo.DomainSpec.disc,
+                     lambda x: geo.DomainSpec.rectangle(x, 1.0),
+                     lambda x: geo.DomainSpec.rectangle(1.0, x),
+                     lambda x: geo.DomainSpec.annulus(x, 1.0),
+                     lambda x: geo.DomainSpec.annulus(0.5, x)):
+            with pytest.raises(ValueError, match="finite"):
+                make(bad)
     with pytest.raises(ValueError):
         geo.build_grid(geo.DomainSpec.interval(1.0), 4)
     with pytest.raises(ValueError):
@@ -222,24 +230,25 @@ def _reference_gradient_magnitude(grid, u):
     both its ends and averaged per edge direction, with the direction read
     off the node-index positions of the ends."""
     n = grid.n_nodes
-    lower = np.unravel_index(grid.edge_i, grid.shape)
-    upper = np.unravel_index(grid.edge_j, grid.shape)
+    edge_i, edge_j, _ = reference_edges(grid)
+    lower = np.unravel_index(edge_i, grid.shape)
+    upper = np.unravel_index(edge_j, grid.shape)
     edge_axis = np.argmax(np.not_equal(lower, upper), axis=0)
     edge_length = np.empty(edge_axis.size)
     for ax, (periodic, _, length) in enumerate(grid.axes):
         mask = edge_axis == ax
         eshape = [m - (b == ax and not periodic) for b, m in enumerate(grid.shape)]
         edge_length[mask] = np.broadcast_to(length, eshape)[tuple(c[mask] for c in lower)]
-    slopes2 = ((u[grid.edge_i] - u[grid.edge_j]) / edge_length) ** 2
+    slopes2 = ((u[edge_i] - u[edge_j]) / edge_length) ** 2
     total = np.zeros(n)
     for ax in range(len(grid.shape)):
         mask = edge_axis == ax
         acc = np.zeros(n)
         cnt = np.zeros(n)
-        np.add.at(acc, grid.edge_i[mask], slopes2[mask])
-        np.add.at(acc, grid.edge_j[mask], slopes2[mask])
-        np.add.at(cnt, grid.edge_i[mask], 1.0)
-        np.add.at(cnt, grid.edge_j[mask], 1.0)
+        np.add.at(acc, edge_i[mask], slopes2[mask])
+        np.add.at(acc, edge_j[mask], slopes2[mask])
+        np.add.at(cnt, edge_i[mask], 1.0)
+        np.add.at(cnt, edge_j[mask], 1.0)
         total += np.divide(acc, cnt, out=np.zeros(n), where=cnt > 0)
     return np.sqrt(total)
 
@@ -258,23 +267,25 @@ def _edge_count(grid):
 def test_edges_join_index_neighbours(case, seed):
     grid, _, u, _ = case
     n_edges = _edge_count(grid)
-    assert grid.edge_i.shape == grid.edge_j.shape == grid.trans.shape == (n_edges,)
-    pairs = np.unique(np.sort(np.column_stack([grid.edge_i, grid.edge_j]), axis=1), axis=0)
+    i, j, t = reference_edges(grid)
+    assert i.shape == j.shape == t.shape == (n_edges,)
+    pairs = np.unique(np.sort(np.column_stack([i, j]), axis=1), axis=0)
     assert len(pairs) == n_edges
-    step = np.subtract(np.unravel_index(grid.edge_j, grid.shape),
-                       np.unravel_index(grid.edge_i, grid.shape))
+    step = np.subtract(np.unravel_index(j, grid.shape), np.unravel_index(i, grid.shape))
     assert np.array_equal(np.count_nonzero(step, axis=0), np.ones(n_edges))
     for ax, m in enumerate(grid.shape):
         wraps = step[ax] == 1 - m
         assert np.all((step[ax] == 0) | (step[ax] == 1) | wraps)
         # only the angle axis of a polar grid is periodic
         assert wraps.any() == (grid.is_polar and ax == 1)
-    assert np.all(grid.trans > 0)
-    # adjointness: the edge form is the quadrature of v times the Laplacian,
-    # the natural Neumann condition
+    assert np.all(t > 0)
+    # adjointness: the reference edge form is the walk's and the quadrature
+    # of v times the Laplacian, the natural Neumann condition
     v = np.random.default_rng(seed).standard_normal(grid.n_nodes)
-    assert geo.edge_form(grid, u, v) == pytest.approx(
-        geo.integrate(grid, v * geo.laplacian(grid, u)), rel=1e-12, abs=1e-12)
+    form = float(np.dot(t, (u[i] - u[j]) * (v[i] - v[j])))
+    assert geo.edge_form(grid, u, v) == pytest.approx(form, rel=1e-12, abs=1e-12)
+    assert geo.integrate(grid, v * geo.laplacian(grid, u)) == pytest.approx(
+        form, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -289,7 +300,7 @@ def _dense_stiffness(grid):
     """The matrix K of the Dirichlet form, u.K.u = sum_e tau_e (u_i - u_j)^2,
     summed edge by edge."""
     k = np.zeros((grid.n_nodes, grid.n_nodes))
-    i, j, t = grid.edge_i, grid.edge_j, grid.trans
+    i, j, t = reference_edges(grid)
     for rows, cols, vals in ((i, j, -t), (j, i, -t), (i, i, t), (j, j, t)):
         np.add.at(k, (rows, cols), vals)
     return k
@@ -298,10 +309,12 @@ def _dense_stiffness(grid):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
 def test_laplacian_matches_dense_stiffness(grid, seed):
-    u = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    u, v = np.random.default_rng(seed).standard_normal((2, grid.n_nodes))
     ref = _dense_stiffness(grid) @ u
     assert np.max(np.abs(geo.laplacian(grid, u) * grid.weights - ref)) \
         <= 1e-13 * np.max(np.abs(ref))
+    assert geo.dirichlet_energy(grid, u) == pytest.approx(u @ ref, rel=1e-12)
+    assert geo.edge_form(grid, u, v) == pytest.approx(v @ ref, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -21,6 +21,10 @@ def closed_form_interval(x):
 def test_config_validation():
     with pytest.raises(ValueError):
         mz.SolveConfig(starts=0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        for name in ("grad_tol", "energy_tol"):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                mz.SolveConfig(**{name: tol})
 
 
 def test_project_scaled_odd_field_fixed(interval_grid):
