@@ -11,6 +11,17 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+def write_table(path, header: str, rows, fmt: str) -> None:
+    """Write a CSV table the way the csv module would: the header, then
+    fmt % row for each row (a tuple), every line ended by CR LF.  Every
+    table the lab writes goes through here."""
+    line = fmt + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(line % row for row in rows)
+
+
 _EXPORTS = {
     "geometry": ["DomainSpec", "Grid", "build_grid", "integrate",
                  "dirichlet_energy", "edge_form", "laplacian", "reflect",
@@ -32,7 +43,7 @@ _EXPORTS = {
                     "pde_residual", "w_set_check", "quantization_floor"],
 }
 _ATTR_TO_MODULE = {attr: mod for mod, attrs in _EXPORTS.items() for attr in attrs}
-__all__ = ["__version__", *_EXPORTS, *_ATTR_TO_MODULE]
+__all__ = ["__version__", "write_table", *_EXPORTS, *_ATTR_TO_MODULE]
 
 
 def __getattr__(name):

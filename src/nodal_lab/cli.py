@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from . import __version__
+from . import __version__, write_table
 
 _DOMAINS = ("interval", "rectangle", "disc", "annulus")
 # rectangle and annulus sizes when the config leaves them unset
@@ -102,15 +102,9 @@ def _diagnose(grid, u, q):
     scale = float(np.max(np.abs(u))) if u.size else 0.0
     deltas = np.geomspace(max(scale, 1e-12) * 1e-7, max(scale, 1e-12) / 2, 24)
     curve = diagnostics.zero_measure_curve(grid, u, deltas)
-    res = diagnostics.pde_residual(grid, u, q)
     out = {
         "nodal_domains": diagnostics.nodal_domains(grid, u),
-        "pde_residual": {
-            "interior_norm": res.interior_norm,
-            "bracket_violation": res.bracket_violation,
-            "flux_norm": res.flux_norm,
-            "quantization_floor": res.floor,
-        },
+        "pde_residual": asdict(diagnostics.pde_residual(grid, u, q)),
         "zero_measure": {
             "kappa_hat": curve.kappa_hat,
             "floor": curve.floor,
@@ -118,15 +112,9 @@ def _diagnose(grid, u, q):
         },
     }
     if grid.is_polar:
-        fs = diagnostics.foliated_schwarz_check(grid, u)
-        out["radiality_deviation"] = fs.radiality_deviation
-        out["foliated_schwarz"] = {
-            "passed": fs.passed,
-            "axis_angle": fs.axis_angle,
-            "axis_method": fs.axis_method,
-            "monotonicity_violation": fs.monotonicity_violation,
-            "polarization_defect": fs.polarization_defect,
-        }
+        fs = asdict(diagnostics.foliated_schwarz_check(grid, u))
+        out["radiality_deviation"] = fs.pop("radiality_deviation")
+        out["foliated_schwarz"] = fs
     return out, curve
 
 
@@ -174,8 +162,7 @@ def cmd_radial(args) -> int:
     from . import radial
     n_dim, q = args.N, args.q
     if n_dim < 2 or not 1.0 <= q < 2.0:
-        print(f"invalid N or q: N={n_dim}, q={q}", file=sys.stderr)
-        return 1
+        raise ValueError(f"invalid N or q: N={n_dim}, q={q}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"N": n_dim, "q": q, "version": __version__}
@@ -211,8 +198,7 @@ def cmd_bounds(args) -> int:
     from . import radial
     n_lo, n_hi = args.n_min, args.n_max
     if not (2 <= n_lo <= n_hi <= 16):
-        print(f"invalid N range [{n_lo}, {n_hi}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"invalid N range [{n_lo}, {n_hi}]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -233,15 +219,10 @@ def cmd_bounds(args) -> int:
                      "holds": holds, "h3": h3, "h3_cubic_ok": cubic_ok})
         print(f"N={n_dim}: upper={upper:.7f}  m_r={m_r:.7f}  "
               f"holds={holds}  h3={h3:.6f}")
-    with (out / "bounds.csv").open("w", newline="") as fh:
-        import csv as _csv
-        wr = _csv.writer(fh)
-        wr.writerow(["N", "upper_bound", "m_r", "holds", "h3", "h3_cubic_ok"])
-        for row in rows:
-            wr.writerow([row["N"], f"{row['upper_bound']:.17g}",
-                         f"{row['m_r']:.17g}", int(row["holds"]),
-                         f"{row['h3']:.17g}",
-                         "" if row["h3_cubic_ok"] is None else int(row["h3_cubic_ok"])])
+    write_table(out / "bounds.csv", "N,upper_bound,m_r,holds,h3,h3_cubic_ok",
+                ((r["N"], r["upper_bound"], r["m_r"], r["holds"], r["h3"],
+                  "" if r["h3_cubic_ok"] is None else int(r["h3_cubic_ok"])) for r in rows),
+                "%d,%.17g,%.17g,%d,%.17g,%s")
     _write_json(out / "bounds.json", {"rows": rows, "all_hold": all_hold,
                                       "version": __version__})
     return 0 if all_hold else 2
@@ -256,8 +237,7 @@ def cmd_verify(args) -> int:
         u = geometry.read_field_csv(grid, field_path)
         q = args.q if args.q is not None else float(report["q"])
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"unreadable dump: {exc!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unreadable dump: {exc!r}") from exc
     res = diagnostics.pde_residual(grid, u, q)
     check = functional.in_constraint(functional.ProblemSpec(grid, q), u)
     print(f"interior_norm={res.interior_norm:.3e} "
@@ -285,13 +265,10 @@ def cmd_sweep(args) -> int:
     reports = minimize.continuation_sweep(grid, q_list, scfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        import csv as _csv
-        wr = _csv.writer(fh)
-        wr.writerow(["q", "energy", "iterations", "constraint", "converged"])
-        for q, rep in zip(q_list, reports):
-            wr.writerow([f"{q:.17g}", f"{rep.energy:.17g}", rep.iterations,
-                         rep.constraint, int(rep.converged)])
+    write_table(out / "sweep.csv", "q,energy,iterations,constraint,converged",
+                ((q, rep.energy, rep.iterations, rep.constraint, rep.converged)
+                 for q, rep in zip(q_list, reports)),
+                "%.17g,%.17g,%d,%s,%d")
     for q, rep in zip(q_list, reports):
         print(f"t={time.perf_counter() - t0:8.2f}s  q={q:.4f}  "
               f"energy={rep.energy:.9f}  ({rep.constraint})")

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import functional, geometry
+from . import functional, geometry, write_table
 from .geometry import Grid
 
 __all__ = [
@@ -70,10 +69,8 @@ def zero_measure_curve(grid: Grid, u: np.ndarray, deltas) -> ZeroMeasureCurve:
 
 
 def write_zero_curve_csv(curve: ZeroMeasureCurve, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write("delta,measure\r\n")                      # csv's line end
-        fh.writelines("%.17g,%.17g\r\n" % row
-                      for row in zip(curve.deltas.tolist(), curve.measures.tolist()))
+    write_table(path, "delta,measure",
+                zip(curve.deltas.tolist(), curve.measures.tolist()), "%.17g,%.17g")
 
 
 def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
@@ -225,7 +222,7 @@ class PdeResidual:
     interior_norm: float      # weighted norm of L_h u - |u|^{q-2} u off the zero band
     bracket_violation: float  # q = 1 only: measure of nodes with |L_h u| > 1 + tol
     flux_norm: float          # total discrete flux (vanishes by the natural BC)
-    floor: float              # quantization floor used
+    quantization_floor: float  # the zero band's half-width
 
 
 def pde_residual(grid: Grid, u: np.ndarray, q: float,
@@ -251,7 +248,7 @@ def pde_residual(grid: Grid, u: np.ndarray, q: float,
         viol = 0.0
     flux = abs(float(np.dot(grid.weights, lap)))
     return PdeResidual(interior_norm=interior, bracket_violation=viol,
-                       flux_norm=flux, floor=floor)
+                       flux_norm=flux, quantization_floor=floor)
 
 
 @dataclass

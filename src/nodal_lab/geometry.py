@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import write_table
+
 # kind -> (its size parameter, the names of its node counts).  The size
 # parameter is the DomainSpec field the kind's constructor fills, and the
 # counts name the axes of the grid's shape in order.
@@ -496,10 +498,8 @@ def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
     Header: x,y,weight,value (interval: x,weight,value)."""
     u = _check_field(grid, u)
     cols = [*grid.coords.T, grid.weights, u]
-    line = ",".join(["%.17g"] * len(cols)) + "\r\n"      # csv's line end
-    with Path(path).open("w", newline="") as fh:
-        fh.write(_field_header(grid) + "\r\n")
-        fh.writelines(line % row for row in zip(*(c.tolist() for c in cols)))
+    write_table(path, _field_header(grid), zip(*(c.tolist() for c in cols)),
+                ",".join(["%.17g"] * len(cols)))
 
 
 def read_field_csv(grid: Grid, path) -> np.ndarray:

@@ -19,7 +19,7 @@ trace is monotone by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,22 +71,10 @@ class SolveReport:
     near_best: list[dict] = field(default_factory=list)
 
     def to_dict(self, grid=None) -> dict:
-        """JSON-ready summary; it holds no timing, so reruns with identical
-        seeds serialize byte-identically."""
-        d = {
-            "energy": self.energy,
-            "constraint_residual": self.constraint_residual,
-            "grad_norm": self.grad_norm,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "q": self.q,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "recipe": self.recipe,
-            "constraint": self.constraint,
-            "near_best": self.near_best,
-            "energy_trace": [float(v) for v in self.energy_trace],
-        }
+        """JSON-ready summary: every field but the field u, plus the grid's
+        dict; it holds no timing, so reruns with identical seeds serialize
+        byte-identically."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
         if grid is not None:
             d.update(grid.to_dict())
         return d

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import write_table
 
 __all__ = [
     "RadialProfile", "LiouvilleProfile", "ChainReport", "unit_ball_volume",
@@ -629,7 +630,5 @@ def h_energy_monotone(p: RadialProfile, slack: float = 1e-8) -> dict:
 
 def write_profile_csv(p: RadialProfile, path) -> None:
     """Dump r, u, du rows with 17 significant digits."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("r,u,du\r\n")                             # csv's line end
-        fh.writelines("%.17g,%.17g,%.17g\r\n" % row
-                      for row in zip(p.r.tolist(), p.u.tolist(), p.du.tolist()))
+    write_table(path, "r,u,du", zip(p.r.tolist(), p.u.tolist(), p.du.tolist()),
+                "%.17g,%.17g,%.17g")

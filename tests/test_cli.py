@@ -135,6 +135,51 @@ def test_solve_deterministic_bytes(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_solve_output_schema(tmp_path):
+    # the JSON blocks are derived from dataclasses; pinning their keys keeps
+    # a timing or array field from leaking into the byte-compared --out
+    out = tmp_path / "run"
+    assert run(["solve", "--domain", "disc", "--q", 1, "--nr", 8, "--ntheta", 16,
+                "--starts", 2, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {
+        "config", "constraint", "constraint_residual", "converged", "domain",
+        "energy", "energy_trace", "field_csv", "grad_norm", "iterations",
+        "near_best", "q", "recipe", "resolution", "seed", "stop_reason", "version"}
+    assert set(report["config"]) == {
+        "domain", "energy_tol", "grad_tol", "half_length", "max_iter", "n", "nr",
+        "ntheta", "q", "radii", "radius", "seed", "sides", "starts"}
+    assert {k for row in report["near_best"] for k in row} == {
+        "energy", "recipe", "seed", "start"}
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == {"foliated_schwarz", "nodal_domains", "pde_residual",
+                         "radiality_deviation", "zero_measure"}
+    assert set(diag["foliated_schwarz"]) == {
+        "axis_angle", "axis_method", "monotonicity_violation", "passed",
+        "polarization_defect"}
+    assert set(diag["pde_residual"]) == {
+        "bracket_violation", "flux_norm", "interior_norm", "quantization_floor"}
+    assert set(diag["zero_measure"]) == {"floor", "kappa_hat", "measure_at_floor"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["radial", "--N", 2, "--q", "nan"],
+    ["radial", "--N", 2, "--q", "inf"],
+    ["radial", "--N", 1],
+    ["bounds", "--n-min", 1],
+    ["verify", "missing/report.json"],
+])
+def test_command_input_errors_print_error_line(tmp_path, argv):
+    if argv[0] != "verify":
+        argv = [*argv, "--out", tmp_path / "o"]
+    else:
+        argv = ["verify", tmp_path / argv[1]]
+    res = run_child("-m", "nodal_lab.cli", *argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
 def test_solve_leaves_scipy_optimize_unimported(tmp_path):
     # the grid commands run on numpy alone: scipy.optimize added about
     # 0.25 s and 50 MiB to a fresh process, and scipy.sparse took 0.3 s of

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import nodal_lab
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
@@ -256,6 +257,26 @@ def test_csv_writers_match_csv_module(tmp_path):
     dg.write_zero_curve_csv(curve, got)
     _csv_module_reference(ref, ["delta", "measure"], [curve.deltas, curve.measures])
     assert got.read_bytes() == ref.read_bytes()
+
+    # rows shaped like bounds.csv's and sweep.csv's: ints, a bool, an empty
+    # cell and a word, which csv.writer writes unquoted
+    for header, fmt, rows in [
+        (["N", "upper_bound", "m_r", "holds", "h3", "h3_cubic_ok"],
+         "%d,%.17g,%.17g,%d,%.17g,%s",
+         [(2, 1.0 / 3.0, 5e-324, True, -0.0, ""), (16, -1e300, 0.1, False, 2.5, 1)]),
+        (["q", "energy", "iterations", "constraint", "converged"],
+         "%.17g,%.17g,%d,%s,%d",
+         [(1.6, -1.0 / 3.0, 0, "signed-mean-zero", True),
+          (1.0, 1e300, 20000, "sign-balance", False)]),
+    ]:
+        nodal_lab.write_table(got, ",".join(header), rows, fmt)
+        with open(ref, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(header)
+            wr.writerows([f"{v:.17g}" if isinstance(v, float) else
+                          int(v) if isinstance(v, bool) else v for v in row]
+                         for row in rows)
+        assert got.read_bytes() == ref.read_bytes()
 
 
 def test_pde_residual_closed_form_first_order():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from nodal_lab import functional as fn
 from nodal_lab import geometry as geo
+from nodal_lab import minimize as mz
 
-from conftest import PROP_GRID, polar_coords, property_fields, smooth_random_field
+from conftest import (PROP_GRID, polar_coords, property_fields, small_grids,
+                      smooth_random_field)
 
 
 def test_problem_spec_validation(disc_grid):
@@ -229,6 +231,32 @@ def test_c_shift_translation_and_monotonicity(q, u, a, seed):
     uv = u + v
     cv = fn.c_shift(spec, uv)
     assert cv <= c + shift_slack(g, u, q, c) + shift_slack(g, uv, q, cv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid=small_grids(), q=st.just(1.0) | st.floats(1.01, 1.99),
+       seed=st.integers(0, 2**32 - 1), offset=st.floats(-10.0, 10.0),
+       scale=st.floats(-6.0, 1.0))
+def test_projection_feasible_and_shift_monotone_on_every_kind(grid, q, seed, offset, scale):
+    # project lands in the constraint set (or c_shift warned that its
+    # residual stayed above tolerance) at energy <= 0, and c(u + v) <= c(u)
+    # for v >= 0.  Re-projecting is not asserted to be a no-op: c_shift's
+    # early stop, 1e-13 |Omega|, is absolute, so on a field of amplitude
+    # 1e-9 a second projection moves it by about 4e-7 relative
+    spec = fn.ProblemSpec(grid, q)
+    rng = np.random.default_rng(seed)
+    u = smooth_random_field(grid, rng) + offset
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, phi = mz.project(spec, u)
+    warned = any("c_shift residual" in str(w.message) for w in caught)
+    assert fn.in_constraint(spec, out).member or warned
+    assert phi <= 0.0
+    v = 10.0 ** scale * np.abs(smooth_random_field(grid, rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c, cv = fn.c_shift(spec, u), fn.c_shift(spec, u + v)
+    assert cv <= c + shift_slack(grid, u, q, c) + shift_slack(grid, u + v, q, cv)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
