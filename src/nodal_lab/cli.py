@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
     payload["version"] = __version__
     _write_json(out / "report.json", payload)
 
-    print(f"domain={cfg.domain} q={cfg.q} energy={report.energy:.9f} "
+    print(f"domain={cfg.domain} q={cfg.q} energy={report.energy:.9e} "
           f"iterations={report.iterations} converged={report.converged} "
           f"({elapsed:.2f}s)")
     print(f"wrote {out / 'report.json'}")
@@ -271,7 +271,7 @@ def cmd_sweep(args) -> int:
                 "%.17g,%.17g,%d,%s,%d")
     for q, rep in zip(q_list, reports):
         print(f"t={time.perf_counter() - t0:8.2f}s  q={q:.4f}  "
-              f"energy={rep.energy:.9f}  ({rep.constraint})")
+              f"energy={rep.energy:.9e}  ({rep.constraint})")
     print(f"wrote {out / 'sweep.csv'}")
     return 0 if all(r.converged for r in reports) else 2
 

@@ -50,7 +50,7 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
     sgn(0) = 0, the subgradient selection used throughout)."""
     if p == 0.0:
         return np.sign(u)
-    return np.sign(u) * np.abs(u) ** p
+    return np.copysign(np.abs(u) ** p, u)
 
 
 def abs_power_integral(spec: ProblemSpec, u: np.ndarray) -> float:

@@ -11,9 +11,12 @@ The descent direction is the gradient of the energy in the H1 inner
 product (stiffness plus mass), which preconditions away the mesh-dependent
 stiffness of the plain quadrature-weighted gradient and gives
 mesh-independent convergence rates.  Step sizes start from a spectral
-(Barzilai-Borwein) trial value and are accepted through Armijo backtracking
-on the true (nonsmooth for q = 1) energy values, so the accepted energy
-trace is monotone by construction.
+(Barzilai-Borwein) trial value taken in that same H1 metric,
+s'(K + W)s / s'(g_k - g_{k-1}) with s the last step and g the raw gradient,
+and are accepted through Armijo backtracking on the true (nonsmooth for
+q = 1) energy values, so the accepted energy trace is monotone by
+construction.  Backtracking ends, with stop reason "no-descent-step", once
+the predicted decrease eta * <dphi, d> is at roundoff of |phi|.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = ["SolveConfig", "SolveReport", "project", "minimize_energy",
 _STEP0 = 1.0                           # initial step size
 _ARMIJO = 1e-4                         # sufficient-decrease factor
 _BACKTRACK = 0.5                       # step shrink ratio
+_ROUNDOFF = 4.0 * float(np.finfo(float).eps)  # relative decrease at roundoff
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,12 @@ def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _descent_direction(spec: ProblemSpec, u: np.ndarray):
-    """Returns (H1 gradient d, directional derivative <dphi, d> >= 0)."""
+    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0)."""
     g = spec.grid
     grad_w = functional.energy_gradient(spec, u)       # w-metric gradient
     euclid = g.weights * grad_w                        # raw partial derivatives
     d = g.h1_solve(euclid)
-    return d, float(np.dot(euclid, d))
+    return euclid, d, float(np.dot(euclid, d))
 
 
 def _wnorm(g, v) -> float:
@@ -131,10 +135,11 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     gradient and eta_k from Armijo backtracking:
     phi(u_{k+1}) <= phi(u_k) - 1e-4 * eta_k * |dphi(u_k)|^2.  Stops when
     the projected-gradient norm (quadrature-weighted) drops below grad_tol,
-    when the energy decrease over 10 iterations falls below energy_tol, or
-    at max_iter (reported with a flag).  Starts from u0, or from the dipole
-    x1 when u0 is None; constant starts are re-seeded from the configured
-    rng.
+    when the energy decrease over 10 iterations falls below energy_tol,
+    when no step passes Armijo before eta_k |dphi(u_k)|^2 <= 4 eps |phi|
+    ("no-descent-step"), or at max_iter (reported with a flag).  Starts
+    from u0, or from the dipole x1 when u0 is None; constant starts are
+    re-seeded from the configured rng.
     """
     g = spec.grid
     u = g.x1.copy() if u0 is None else np.asarray(u0, dtype=float)
@@ -144,37 +149,40 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     u, phi = project(spec, u)
     trace = [phi]
     eta = _STEP0
-    eta_floor = 1e-14 * _STEP0
     eta_cap = 1e6 * _STEP0
     grad_norm = float("inf")
     converged = False
     reason = "max-iterations-exceeded"
     it = 0
-    prev_u = prev_d = None
+    prev_u = prev_grad = None
 
     while it < config.max_iter:
         it += 1
-        d, slope = _descent_direction(spec, u)
+        euclid, d, slope = _descent_direction(spec, u)
         if slope <= 0.0 or not np.isfinite(slope):
             converged, reason = True, "zero-gradient"
             grad_norm = 0.0
             break
-        # spectral (Barzilai-Borwein) trial step, safeguarded by the Armijo
-        # loop below so the energy trace stays monotone
+        # spectral (Barzilai-Borwein) trial step in the H1 metric of d:
+        # eta = s'(K + W)s / s'(g_k - g_{k-1}) with s = u_k - u_{k-1} and g
+        # the raw gradient, safeguarded by the Armijo loop below so the
+        # energy trace stays monotone
         if prev_u is not None:
             s = u - prev_u
-            y = d - prev_d
-            sy = float(np.dot(g.weights, s * y))
+            sy = float(np.dot(s, euclid - prev_grad))
             if sy > 0.0:
-                eta = float(np.dot(g.weights, s * s)) / sy
+                ss = geometry.dirichlet_energy(g, s) + float(np.dot(g.weights, s * s))
+                eta = ss / sy
             else:
                 eta = eta / _BACKTRACK
         else:
             eta = eta / _BACKTRACK
         eta = min(max(eta, 1e-6 * _STEP0), eta_cap)
-        prev_u, prev_d = u, d
+        prev_u, prev_grad = u, euclid
         accepted = False
-        while eta >= eta_floor:
+        # halve until Armijo holds or the predicted decrease is at roundoff;
+        # no absolute floor: phi = 0 only at the zero field, where slope = 0
+        while eta * slope > _ROUNDOFF * abs(phi):
             trial, phi_t = project(spec, u - eta * d)
             if phi_t <= phi - _ARMIJO * eta * slope:
                 accepted = True

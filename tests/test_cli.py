@@ -125,6 +125,26 @@ def test_solve_interval_and_verify(tmp_path, capsys):
     assert run(["verify", tmp_path / "missing.json"]) == 1
 
 
+def test_printed_energies_match_outputs(tmp_path, capsys):
+    # at q = 1.9 the least energy is about -4e-12, which a fixed-point
+    # format prints as -0.000000000
+    def printed():
+        return [float(w.split("=")[1]) for w in capsys.readouterr().out.split()
+                if w.startswith("energy=")]
+
+    out = tmp_path / "disc"
+    run(["solve", "--domain", "disc", "--q", 1.9, "--nr", 16, "--ntheta", 32,
+         "--starts", 1, "--out", out])
+    energy = json.loads((out / "report.json").read_text())["energy"]
+    assert energy < 0.0
+    assert printed() == [pytest.approx(energy, rel=1e-9)]
+    out = tmp_path / "sweep"
+    run(["sweep", "--domain", "disc", "--q-list", "1.9,1.8", "--nr", 16,
+         "--ntheta", 32, "--starts", 1, "--out", out])
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert printed() == [pytest.approx(float(r.split(",")[1]), rel=1e-9) for r in rows]
+
+
 def test_solve_deterministic_bytes(tmp_path):
     args = ["solve", "--domain", "interval", "--q", 1.25, "--n", 256,
             "--seed", 9, "--starts", 2]

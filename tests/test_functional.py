@@ -59,6 +59,15 @@ def test_gradient_matches_finite_differences(interval_grid, q):
     assert directional == pytest.approx(fd, rel=1e-5)
 
 
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
+def test_signed_power_matches_sign_times_power(p):
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(1000) * 10.0 ** rng.integers(-12, 4, 1000)
+    u[::7] = 0.0
+    u[3::11] = -0.0
+    assert np.array_equal(fn.signed_power(u, p), np.sign(u) * np.abs(u) ** p)
+
+
 def test_t_star_fixed_point_and_ray_minimization(interval_grid):
     x = interval_grid.coords[:, 0]
     for q in (1.0, 1.5):

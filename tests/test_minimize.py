@@ -76,6 +76,49 @@ def test_minimize_interval_small_grid():
     assert np.all(np.diff(trace) <= 1e-14)
 
 
+def _count_projections(monkeypatch) -> list:
+    calls = []
+    project = mz.project
+
+    def counted(*args):
+        calls.append(None)
+        return project(*args)
+
+    monkeypatch.setattr(mz, "project", counted)
+    return calls
+
+
+# one descent from the dipole, q = 1.5: the step taken in the plain w-metric
+# needed 138 (disc) and 164 (annulus) projections to reach these energies,
+# with Armijo rejecting 2-3 trial steps per accepted one
+@pytest.mark.parametrize("domain, resolution, max_projections, reference", [
+    (geo.DomainSpec.disc(1.0), (64, 128), 40, -0.009600007787392643),
+    (geo.DomainSpec.annulus(0.5, 1.0), (32, 64), 60, -0.04923241334914089),
+])
+def test_descent_work_from_the_dipole(monkeypatch, domain, resolution,
+                                      max_projections, reference):
+    spec = fn.ProblemSpec(geo.build_grid(domain, resolution), 1.5)
+    calls = _count_projections(monkeypatch)
+    rep = mz.minimize_energy(spec, mz.SolveConfig())
+    assert rep.stop_reason == "grad-tol"
+    assert len(calls) <= max_projections
+    assert rep.energy <= reference + 1e-10 * abs(reference)
+
+
+def test_backtracking_stops_at_roundoff(monkeypatch):
+    # tolerances no descent can meet: the run ends when no step passes
+    # Armijo before the predicted decrease is at roundoff of the energy,
+    # not after halving the step down to an absolute floor
+    grid = geo.build_grid(geo.DomainSpec.interval(1.0), 257)
+    spec = fn.ProblemSpec(grid, 1.5)
+    calls = _count_projections(monkeypatch)
+    cfg = mz.SolveConfig(grad_tol=1e-300, energy_tol=1e-300, max_iter=400)
+    rep = mz.minimize_energy(spec, cfg)
+    assert rep.stop_reason == "no-descent-step"
+    assert len(calls) <= 20
+    assert rep.energy == pytest.approx(-1.715265757144390e-02, rel=1e-14)
+
+
 def test_minimizer_changes_sign(interval_min_q1, interval_grid):
     u = interval_min_q1.u
     w = interval_grid.weights
