@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -224,6 +225,81 @@ def test_foliated_schwarz_retains_no_reflections():
     assert rep.passed and rep.axis_method == "fourier"
     # one int64 permutation per hyperplane would hold 128 * 8192 * 8 B = 8 MiB
     assert held < 2**20
+    # one check on the 128x256 disc peaks at 1.76 MiB; the half-ring slices
+    # of one hyperplane take 128 KiB of it, those of all 256 at once 32 MiB
+    grid = geo.build_grid(geo.DomainSpec.disc(1.0), (128, 256))
+    u = np.array(grid.x1)
+    tracemalloc.start()
+    try:
+        rep = dg.foliated_schwarz_check(grid, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and peak < 2.5 * 2**20
+
+
+def test_foliated_schwarz_verdict_is_scale_invariant():
+    # a field and its scaled copies get one verdict, however small: cos 2 theta
+    # has four nodal domains at every amplitude
+    grid = geo.build_grid(geo.DomainSpec.disc(1.0), (32, 64))
+    _, th = polar_coords(grid)
+    for s in (1.0, 1e-3, 1e-60):
+        four_domains = dg.foliated_schwarz_check(grid, s * np.cos(2 * th))
+        assert not four_domains.passed and four_domains.axis_method == "max-point"
+        dipole = dg.foliated_schwarz_check(grid, s * grid.x1)
+        assert dipole.passed and dipole.axis_method == "fourier"
+
+
+@st.composite
+def polarization_cases(draw):
+    """A polar grid, a field and an axis.  Fields: normal values; the same
+    rounded, so that pairs tie; symmetric under one hyperplane's reflection;
+    or nonincreasing on every ring in the angular distance from the axis,
+    which no polarization toward the axis moves.  Axes: any angle, or a
+    multiple of pi/(2 n_theta), which lies on a hyperplane (h pi/n_theta) or
+    along one's normal (h pi/n_theta +- pi/2)."""
+    grid = draw(small_grids().filter(lambda g: g.is_polar))
+    nr, nth = grid.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("normal", "rounded", "symmetric", "monotone")))
+    step = draw(st.integers(0, 4 * nth - 1) if kind == "monotone"
+                else st.none() | st.integers(0, 4 * nth - 1))
+    axis = draw(st.floats(-math.pi, math.pi)) if step is None else step * math.pi / (2 * nth)
+    u = rng.standard_normal(grid.n_nodes)
+    if kind == "rounded":
+        u = np.round(u)
+    elif kind == "symmetric":
+        u = u + geo.reflect(grid, u, draw(st.integers(0, nth - 1)))
+    elif kind == "monotone":
+        # column k sits at 4k units of pi/(2 n_theta): distances are integers
+        gap = (4 * np.arange(nth) - step) % (4 * nth)
+        dist = np.minimum(gap, 4 * nth - gap)
+        u = (rng.standard_normal((nr, 1)) - rng.random((nr, 1)) * dist).ravel()
+    return grid, u, axis, kind
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=polarization_cases())
+def test_polarization_defect_matches_polarize(case):
+    grid, u, axis, kind = case
+    # the defect sums each ring with one weight
+    w = grid.weights.reshape(grid.shape)
+    assert np.array_equal(w, np.broadcast_to(w[:, :1], w.shape))
+
+    def reference(axis):
+        toward = np.array([math.cos(axis), math.sin(axis)])
+        return max(math.sqrt(np.dot(grid.weights, (geo.polarize(grid, u, h, toward) - u) ** 2))
+                   for h in range(grid.shape[1]))
+
+    ref = reference(axis)
+    got = dg._polarization_defect(grid, u, np.array([math.cos(axis), math.sin(axis)]))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    if kind == "monotone":
+        assert got == ref == 0.0
+    rep = dg.foliated_schwarz_check(grid, u)
+    if rep.axis_angle is not None:
+        assert rep.polarization_defect == pytest.approx(reference(rep.axis_angle),
+                                                        rel=1e-12, abs=0.0)
 
 
 def _csv_module_reference(path, header, columns):
