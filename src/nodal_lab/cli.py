@@ -235,9 +235,20 @@ def cmd_verify(args) -> int:
         grid = geometry.grid_from_dict(report)
         field_path = Path(args.report).parent / report.get("field_csv", "field.csv")
         u = geometry.read_field_csv(grid, field_path)
-        q = args.q if args.q is not None else float(report["q"])
+        spec = functional.ProblemSpec(grid, float(report["q"]))
+        claimed = float(report["energy"])
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable dump: {exc!r}") from exc
+    # the dump must be the field its report describes: its energy, at the
+    # report's q, to roundoff in the two terms (not in their difference,
+    # which cancels as q -> 2)
+    energy = functional.energy(spec, u)
+    scale = (0.5 * geometry.dirichlet_energy(grid, u)
+             + functional.abs_power_integral(spec, u) / spec.q)
+    if not abs(energy - claimed) <= 1e-12 * scale:
+        raise ValueError(f"field dump {field_path} has energy {energy:.9e}, "
+                         f"its report {claimed:.9e}")
+    q = args.q if args.q is not None else spec.q
     res = diagnostics.pde_residual(grid, u, q)
     check = functional.in_constraint(functional.ProblemSpec(grid, q), u)
     print(f"interior_norm={res.interior_norm:.3e} "

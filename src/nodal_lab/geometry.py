@@ -489,41 +489,29 @@ def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 # -- field I/O ---------------------------------------------------------------
 
-def _field_header(grid: Grid) -> str:
-    return ",".join(["x", "y"][:grid.domain.dim] + ["weight", "value"])
-
-
 def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
-    """Dump a field as CSV, one node per row, 17 significant digits.
-    Header: x,y,weight,value (interval: x,weight,value)."""
-    u = _check_field(grid, u)
-    cols = [*grid.coords.T, grid.weights, u]
-    write_table(path, _field_header(grid), zip(*(c.tolist() for c in cols)),
-                ",".join(["%.17g"] * len(cols)))
+    """Dump a field as CSV: the header `value`, then one node per row in
+    the grid's node order, 17 significant digits.  The grid itself is not
+    written; grid_from_dict rebuilds it, coordinates and weights included,
+    from the report the dump belongs to."""
+    write_table(path, "value", zip(_check_field(grid, u).tolist()), "%.17g")
 
 
 def read_field_csv(grid: Grid, path) -> np.ndarray:
-    """Read back the value column of a field dump of grid.
+    """Read back a field dump of grid.
 
-    Raises ValueError unless the dump has write_field_csv's header and finite
-    values, and its other columns equal the grid's coordinates and weights
-    exactly, row for row (%.17g round-trips every double).
+    Raises ValueError unless the dump has write_field_csv's header, one row
+    per node of grid and finite values (%.17g round-trips every double).
     """
     path = Path(path)
-    header = _field_header(grid)
     with path.open(newline="") as fh:
-        if fh.readline().rstrip("\r\n") != header:
-            raise ValueError(f"field dump {path} has no {header} header")
-        rows = fh.tell()
-        if not fh.readline().strip():       # else loadtxt warns on stderr
-            raise ValueError(f"field dump {path} has no rows")
-        fh.seek(rows)
-        # one C-level parse of every column; csv rows through np.array take
-        # three times as long
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if not np.array_equal(table[:, :-1], np.column_stack([grid.coords, grid.weights])):
-        raise ValueError(f"field dump {path} does not match the grid's nodes and weights")
-    u = table[:, -1]
+        header, *rows = fh.read().splitlines() or [""]
+    if header != "value":
+        raise ValueError(f"field dump {path} has no 'value' header")
+    if len(rows) != grid.n_nodes:
+        raise ValueError(f"field dump {path} has {len(rows) or 'no'} rows, "
+                         f"its grid {grid.n_nodes} nodes")
+    u = np.array(rows, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError(f"field dump {path} contains non-finite values")
     return u

@@ -77,13 +77,6 @@ def nodal_radius_q1(n_dim: int) -> float:
     return 2.0 ** (-1.0 / n_dim) if n_dim >= 3 else 1.0 / math.sqrt(2.0)
 
 
-def _f_sublinear(q: float):
-    if q == 1.0:
-        return lambda u: np.sign(u)
-    p = q - 1.0
-    return lambda u: np.sign(u) * np.abs(u) ** p
-
-
 # -- closed forms (q = 1) ----------------------------------------------------
 
 def _closed_form_funcs(n_dim: int):
@@ -465,26 +458,34 @@ def _centered_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             + (h2 * h2 - h1 * h1) * y[1:-1]) / (h1 * h2 * (h1 + h2))
 
 
+def _max_defect(u: np.ndarray, linear: np.ndarray, coef, q: float,
+                zero_floor: float) -> float:
+    """max |linear + coef |u|^{q-2} u| over the interior samples u[1:-1]
+    (sgn(u) at q = 1), 0 for a zero field.  Samples where |u| falls under
+    zero_floor * max|u| are skipped: the forcing jumps across the nodal
+    radius, so the pointwise value of sgn is not resolvable there
+    (quantization-floor convention)."""
+    scale = float(np.max(np.abs(u)))
+    if scale == 0.0:
+        return 0.0
+    ui = u[1:-1]
+    res = np.abs(linear + coef * (np.sign(ui) * np.abs(ui) ** (q - 1.0)))
+    keep = np.abs(ui) > zero_floor * scale
+    return float(np.max(res[keep])) if keep.any() else 0.0
+
+
 def radial_residual(p: RadialProfile, zero_floor: float = 1e-12) -> float:
-    """Max interior defect of u'' + (N-1)/r u' + |u|^{q-2} u.
+    """Max interior defect of u'' + (N-1)/r u' + |u|^{q-2} u, by _max_defect.
 
     u'' comes from centered differences of the stored derivative samples
     (differencing u itself would put a float-cancellation floor of about
     eps/h^2 ~ 1e-8 under the residual, masking the actual ODE defect).
-    Samples where |u| falls under zero_floor * max|u| are skipped: the
-    forcing jumps across the nodal radius, so the pointwise value of sgn is
-    not resolvable there (quantization-floor convention).
     """
     if p.r.size < 3:
         raise ValueError("too-few-samples: residual needs at least 3 samples")
-    f = _f_sublinear(p.q)
     d2 = _centered_diff(p.r, p.du)
-    res = np.abs(d2 + (p.n_dim - 1.0) / p.r[1:-1] * p.du[1:-1] + f(p.u[1:-1]))
-    scale = float(np.max(np.abs(p.u)))
-    keep = np.abs(p.u[1:-1]) > zero_floor * max(scale, 1e-300)
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(res[keep])) if keep.any() else 0.0
+    return _max_defect(p.u, d2 + (p.n_dim - 1.0) / p.r[1:-1] * p.du[1:-1], 1.0,
+                       p.q, zero_floor)
 
 
 @dataclass
@@ -523,16 +524,9 @@ def liouville_transform(profile: RadialProfile) -> LiouvilleProfile:
 
 def liouville_residual(lp: LiouvilleProfile, zero_floor: float = 1e-12) -> float:
     """Max interior defect of y'' + p(t)|y|^{q-2} y on the transformed grid,
-    with y'' from the transformed derivative samples and the same zero-set
-    quantization convention as radial_residual."""
-    f = _f_sublinear(lp.q)
-    d2 = _centered_diff(lp.t, lp.dy)
-    res = np.abs(d2 + lp.p[1:-1] * f(lp.y[1:-1]))
-    scale = float(np.max(np.abs(lp.y)))
-    if scale == 0.0:
-        return 0.0
-    keep = np.abs(lp.y[1:-1]) > zero_floor * scale
-    return float(np.max(res[keep])) if keep.any() else 0.0
+    with y'' from the transformed derivative samples, by _max_defect as
+    radial_residual."""
+    return _max_defect(lp.y, _centered_diff(lp.t, lp.dy), lp.p[1:-1], lp.q, zero_floor)
 
 
 # -- energies and bounds -------------------------------------------------------

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nodal_lab import functional as fn
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
 from nodal_lab.cli import RunConfig, main
+from nodal_lab.minimize import SolveConfig, minimize_energy
 
 
 def run(args):
@@ -302,7 +304,8 @@ def test_verify_closed_form_radial_on_disc(tmp_path):
     out = tmp_path / "cf"
     out.mkdir()
     geo.write_field_csv(grid, u, out / "field.csv")
-    report = {"q": 1.0, "field_csv": "field.csv", **grid.to_dict()}
+    report = {"q": 1.0, "energy": fn.energy(fn.ProblemSpec(grid, 1.0), u),
+              "field_csv": "field.csv", **grid.to_dict()}
     (out / "report.json").write_text(json.dumps(report))
     assert run(["verify", out / "report.json"]) == 0
 
@@ -351,18 +354,23 @@ def test_solve_nonconvergence_exit_two(tmp_path):
 
 def test_verify_rejects_nonfinite_dump(tmp_path):
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
-    rows = ["%.17g,%.17g,1.0" % xw for xw in zip(grid.x1.tolist(), grid.weights.tolist())]
+    rows = ["%.17g" % x for x in grid.x1.tolist()]
+    energy = fn.energy(fn.ProblemSpec(grid, 1.0), grid.x1)
 
     def dump(body):
-        return "x,weight,value\n" + "\n".join(body)
+        return "value\n" + "\n".join(body)
 
     dumps = {                          # name: (field.csv, the report's q entry)
-        "nonfinite": (dump(rows[:-1] + [rows[-1][:-3] + "nan"]), {"q": 1.0}),
+        "nonfinite": (dump(rows[:-1] + ["nan"]), {"q": 1.0}),
         "empty": ("", {"q": 1.0}),
-        "truncated": (dump(rows[:-1] + [rows[-1][:-4]]), {"q": 1.0}),
+        "truncated": (dump(rows)[:-6], {"q": 1.0}),     # ends inside row 15 of 16
+        "garbled": (dump(rows[:-1] + [rows[-1] + ",1.0"]), {"q": 1.0}),
+        "short": (dump(rows[:-1]), {"q": 1.0}),
+        "long": (dump(rows + rows[-1:]), {"q": 1.0}),
         "no-q": (dump(rows), {}),
         "null-q": (dump(rows), {"q": None}),
-        "rewritten": (dump(rows[:-1] + ["123,-7,1.0"]), {"q": 1.0}),
+        # value edits that keep the format: the energy check rejects them
+        "rewritten": (dump(rows[:-1] + ["123"]), {"q": 1.0}),
         "reordered": (dump(rows[:3] + [rows[4], rows[3]] + rows[5:]), {"q": 1.0}),
         "intact": (dump(rows), {"q": 1.0}),
     }
@@ -370,18 +378,42 @@ def test_verify_rejects_nonfinite_dump(tmp_path):
         out = tmp_path / name
         out.mkdir()
         (out / "field.csv").write_text(field)
-        report = {**q, "field_csv": "field.csv", **grid.to_dict()}
+        report = {**q, "energy": energy, "field_csv": "field.csv", **grid.to_dict()}
         (out / "report.json").write_text(json.dumps(report))
         # the intact dump is read and fails only the thresholds
         assert run(["verify", out / "report.json"]) == (2 if name == "intact" else 1), name
 
 
+def test_verify_rejects_a_field_that_is_not_the_reports(tmp_path, capsys):
+    # the radial critical point from r^2 - 1/2 solves the equation, as the
+    # minimizer does, but at about 1/93 of its energy: the residual checks
+    # pass it, and only the energy ties a dump to its report
+    out = tmp_path / "disc"
+    assert run(["solve", "--domain", "disc", "--q", 1.5, "--nr", 32, "--ntheta", 64,
+                "--starts", 2, "--out", out]) == 0
+    grid = geo.grid_from_dict(json.loads((out / "report.json").read_text()))
+    r2 = np.sum(grid.coords ** 2, axis=1)
+    radial = minimize_energy(fn.ProblemSpec(grid, 1.5), SolveConfig(), u0=r2 - 0.5).u
+    geo.write_field_csv(grid, radial, out / "field.csv")
+    capsys.readouterr()
+    assert run(["verify", out / "report.json"]) == 1
+    assert "has energy" in capsys.readouterr().err
+
+    # a dump in the four-column format of earlier versions
+    cols = [*grid.coords.T, grid.weights, radial]
+    (out / "field.csv").write_text("x,y,weight,value\r\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\r\n" for row in zip(*cols)))
+    assert run(["verify", out / "report.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'value' header" in err
+
+
 def test_verify_header_only_dump(tmp_path):
-    # rejected before numpy's loadtxt warns that the input has no data; a
-    # child process, because pytest records warnings instead of printing them
+    # rejected with one error line and no numpy warning; a child process,
+    # because pytest records warnings instead of printing them
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
-    (tmp_path / "field.csv").write_text("x,weight,value\r\n")
-    report = {"q": 1.0, "field_csv": "field.csv", **grid.to_dict()}
+    (tmp_path / "field.csv").write_text("value\r\n")
+    report = {"q": 1.0, "energy": 0.0, "field_csv": "field.csv", **grid.to_dict()}
     (tmp_path / "report.json").write_text(json.dumps(report))
     proc = run_child("-m", "nodal_lab.cli", "verify", tmp_path / "report.json")
     assert proc.returncode == 1

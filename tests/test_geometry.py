@@ -360,18 +360,21 @@ def test_gradient_magnitude_linear(disc_grid):
     assert np.max(np.abs(gm - 1.0)) <= 0.02
 
 
-def test_field_csv_roundtrip(tmp_path, disc_grid, interval_grid):
+def test_field_csv_roundtrip(tmp_path, disc_grid, interval_grid, annulus_grid):
     rng = np.random.default_rng(1)
-    for g in (disc_grid, interval_grid):
+    rect = geo.build_grid(geo.DomainSpec.rectangle(2.0, 1.0), (16, 12))
+    extremes = [-0.0, 5e-324, -5e-324, 1e300, -1e300]
+    for g in (disc_grid, interval_grid, annulus_grid, rect):
         u = rng.standard_normal(g.n_nodes)
+        u[:len(extremes)] = extremes
         path = tmp_path / f"{g.kind}.csv"
         geo.write_field_csv(g, u, path)
         back = geo.read_field_csv(g, path)
         assert np.array_equal(back, u)
-    header = (tmp_path / "interval.csv").read_text().splitlines()[0]
-    assert header == "x,weight,value"
-    header = (tmp_path / "disc.csv").read_text().splitlines()[0]
-    assert header == "x,y,weight,value"
+        assert np.array_equal(np.signbit(back), np.signbit(u))      # -0.0 stays
+        lines = path.read_text().splitlines()
+        assert lines[0] == "value"
+        assert len(lines) == g.n_nodes + 1
 
 
 def test_grid_dict_roundtrip(disc_grid, interval_grid, annulus_grid):
