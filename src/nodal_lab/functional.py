@@ -90,28 +90,46 @@ def _signed_mean(grid: Grid, u: np.ndarray, q: float, c: float) -> float:
     return float(np.dot(grid.weights, signed_power(u + c, q - 1.0)))
 
 
-def _weighted_median_shift(grid: Grid, u: np.ndarray) -> float:
+def _weighted_median_shift(grid: Grid, u: np.ndarray, bracket=None) -> float:
     """Negative weighted median of u; on a discrete median interval the
     midpoint is returned, and the result is verified against the exact
     sign-balance membership test (falling back to the atom median when the
-    apparent tie is a rounding artifact)."""
-    order = np.argsort(u, kind="stable")
-    vals = u[order]
-    wts = grid.weights[order]
-    cum = np.cumsum(wts)
-    total = cum[-1]
+    apparent tie is a rounding artifact).
+
+    bracket: an interval (lo, hi) said to hold the result.  Only the nodes
+    with -hi <= u <= -lo and the nearest node on each side are then sorted,
+    the weight below them starting the cumulative sum.  Unless the half
+    mass falls strictly inside them, tie tolerance included, or when no
+    candidate passes the membership test, all of u is sorted instead.
+    """
+    w = grid.weights
+    total = float(np.sum(w))
     half = 0.5 * total
-    k = int(np.searchsorted(cum, half))
     # tie tolerance: covers cumsum rounding; false positives are filtered by
     # the membership check below, which uses far more accurate pairwise sums
-    tie = (4.0 * len(vals) * np.finfo(float).eps + 1e-13) * total
-    candidates = []
-    if k + 1 < len(vals) and abs(cum[k] - half) <= tie:
-        candidates.append(0.5 * (vals[k] + vals[k + 1]))
+    tie = (4.0 * len(u) * np.finfo(float).eps + 1e-13) * total
+    if bracket is None:
+        order, below = np.argsort(u, kind="stable"), 0.0
+    else:
+        a = np.max(u, where=u < -bracket[1], initial=-np.inf)
+        b = np.min(u, where=u > -bracket[0], initial=np.inf)
+        near = np.flatnonzero((u >= a) & (u <= b))
+        order = near[np.argsort(u[near], kind="stable")]
+        below = float(np.sum(w, where=u < a))
+    vals = u[order]
+    cum = np.cumsum(np.concatenate(([below], w[order])))[1:]
+    if bracket is not None and not (below < half - tie and cum[-1] > half + tie):
+        return _weighted_median_shift(grid, u)
+    k = int(np.searchsorted(cum, half))
+    # a tie at k - 1 is a cum[k - 1] that rounding left just below half
+    candidates = [0.5 * (vals[j] + vals[j + 1]) for j in (k - 1, k)
+                  if 0 <= j < len(vals) - 1 and abs(cum[j] - half) <= tie]
     candidates.append(vals[min(k, len(vals) - 1)])
     for m in candidates:
         if _sign_balance(grid, u - m)[0]:
             return -float(m)
+    if bracket is not None:
+        return _weighted_median_shift(grid, u)
     # adjacent atoms guard against an off-by-one from inexact cumsum
     for kk in (k - 1, k + 1):
         if 0 <= kk < len(vals) and _sign_balance(grid, u - vals[kk])[0]:
@@ -143,11 +161,13 @@ def _geometric_point(lo: float, hi: float) -> float | None:
     return c if hi > 0.0 else -c
 
 
-def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
+def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
+            bracket: tuple[float, float] | None = None) -> float:
     """The unique constant c making u + c feasible.
 
     q > 1: root of the strictly increasing map c -> int |u+c|^{q-2}(u+c),
-    bracketed by [-max u, -min u] and solved by Illinois regula falsi
+    bracketed by [-max u, -min u], or by `bracket` when the map changes
+    sign across it, and solved by Illinois regula falsi
     (secant steps on the sign-change bracket, halving the value kept at a
     stale endpoint; Newton is not safe here because the integrand has
     unbounded slope near node zeros).  A secant point outside the open
@@ -160,21 +180,31 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10) -> float:
     steps or once the bracket ends are adjacent doubles, the end with the
     smaller residual is, with a RuntimeWarning if that is above tolerance.
     q = 1: negative weighted median, median-interval midpoints resolved as
-    in _weighted_median_shift.
+    in _weighted_median_shift, which sorts only the nodes `bracket` leaves
+    as candidates when they hold the half mass.
+
+    bracket: an interval (lo, hi) proven to hold c, such as
+    [eta min d, eta max d] for u = v - eta d with v feasible.  A bracket
+    that fails its check gives the result without it.
     """
     u = np.asarray(u, dtype=float)
     g = spec.grid
     if spec.sublinear_q1:
-        return _weighted_median_shift(g, u)
-    lo, hi = -float(np.max(u)), -float(np.min(u))
-    if lo == hi:
-        return lo
+        return _weighted_median_shift(g, u, bracket)
+    if bracket is None:
+        lo, hi = -float(np.max(u)), -float(np.min(u))
+        if lo == hi:
+            return lo
+    else:
+        lo, hi = bracket
     flo = _signed_mean(g, u, spec.q, lo)
     if flo == 0.0:
         return lo
     fhi = _signed_mean(g, u, spec.q, hi)
     if fhi == 0.0:
         return hi
+    if not flo < 0.0 < fhi:             # a bracket that misses the root
+        return c_shift(spec, u, tol)
     # F(lo) < 0 < F(hi); keep the sign-change bracket.  Stop early once the
     # residual sits three decades under the target tolerance.  glo and ghi
     # are the endpoint values the secant uses: Illinois halves the one at an

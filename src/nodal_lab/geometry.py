@@ -196,8 +196,14 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
     by m, the last-axis term is c[i] times the 1-D Laplacian in the metric
     m, which the real FFT diagonalizes: of the row on a periodic axis
     (constant m), of its even extension of length 2(n - 1) otherwise
-    (DCT-I, exact for trapezoid m).  Each mode then leaves one tridiagonal
-    system along axis 0, and one Thomas sweep solves them all.
+    (DCT-I, exact for trapezoid m).  Each mode then leaves one symmetric
+    tridiagonal system along axis 0, with diagonal b and off-diagonal e,
+    and odd-even cyclic reduction solves them all in about log2(n0)
+    vectorized levels.  A level eliminates the even rows,
+    x[2k] = (f[2k] - e[2k-1] x[2k-1] - e[2k] x[2k+1]) / b[2k], which leaves
+    a tridiagonal system of the same form in the odd rows.  The level
+    coefficients are real: they are built once, repeated per re/im pair and
+    applied to the float view of the spectrum.
     """
     n0, n = (1, *shape)[-2:]
     w = weights.reshape(n0, n)
@@ -211,22 +217,41 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
     # eigenvalues of the 1-D Laplacian in the metric m; m[1] is interior
     lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(p // 2 + 1) / p)) / m[1]
     diag = (w[:, 0] / m[0] + np.pad(t, (1, 0)) + np.pad(t, (0, 1)))[:, None] + c * lam
-    # forward elimination: inverse pivots and the multipliers t[i-1]/pivot[i-1]
-    inv = np.empty_like(diag)
-    inv[0] = 1.0 / diag[0]
-    for i in range(1, n0):
-        inv[i] = 1.0 / (diag[i] - t[i - 1] ** 2 * inv[i - 1])
-    mult = t[:, None] * inv[:-1]
+    b = np.repeat(diag, 2, axis=1)
+    e = np.broadcast_to(-t[:, None], (n0 - 1, b.shape[1]))
+    # per level: the inverse pivots 1/b[2k] of the even rows, and their
+    # couplings right[k] = e[2k] / b[2k] to the odd row after them and
+    # left[k] = e[2k+1] / b[2k+2] to the odd row before them
+    levels = []
+    while True:
+        inv = 1.0 / b[0::2]
+        right = e[0::2] * inv[:len(b) // 2]
+        left = e[1::2] * inv[1:]
+        levels.append((inv, right, left))
+        if len(b) == 1:
+            break
+        b = b[1::2] - right * e[0::2]
+        b[:len(left)] -= left * e[1::2]
+        e = -left[:len(b) - 1] * e[2::2]
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        r = b.reshape(n0, n) / m
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        r = rhs.reshape(n0, n) / m
         y = np.fft.rfft(r if periodic else np.concatenate([r, r[:, -2:0:-1]], axis=1),
                         axis=1)
-        for i in range(1, n0):
-            y[i] += mult[i - 1] * y[i - 1]
-        y[-1] *= inv[-1]
-        for i in range(n0 - 2, -1, -1):
-            y[i] = (y[i] + t[i] * y[i + 1]) * inv[i]
+        # in place on the float view: each level's odd rows are the next
+        # level, and back substitution overwrites its even rows with x
+        f = y.view(float)
+        rows = []
+        for _, right, left in levels[:-1]:
+            even, f = f[0::2], f[1::2]
+            f -= right * even[:len(right)]
+            f[:len(left)] -= left * even[1:]
+            rows.append((even, f))
+        f *= levels[-1][0]
+        for (inv, right, left), (even, odd) in zip(levels[-2::-1], rows[::-1]):
+            even *= inv
+            even[:len(right)] -= right * odd
+            even[1:] -= left * odd[:len(left)]
         return np.fft.irfft(y, p, axis=1)[:, :n].ravel()
 
     return solve

@@ -6,7 +6,10 @@ map (feasible shift c(u), then the ray minimizer t*), so every accepted
 iterate is feasible and its energy is a valid upper bound for the infimum.
 The energy of a projected field is in closed form in its two integrals
 (the Dirichlet energy and int |v|^q of the shifted field), so the projection
-returns it without a separate energy evaluation.
+returns it without a separate energy evaluation.  The shift of a trial
+u - eta d is found inside [eta min d, eta max d]: u is feasible and the
+shift is monotone, so that interval holds it, and its width is
+eta osc(d), not osc(u - eta d).
 The descent direction is the gradient of the energy in the H1 inner
 product (stiffness plus mass), which preconditions away the mesh-dependent
 stiffness of the plain quadrature-weighted gradient and gives
@@ -88,10 +91,12 @@ def _constraint_name(spec: ProblemSpec) -> str:
     return "sign-balance" if spec.sublinear_q1 else "signed-mean-zero"
 
 
-def project(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, float]:
+def project(spec: ProblemSpec, u: np.ndarray,
+            bracket: tuple[float, float] | None = None) -> tuple[np.ndarray, float]:
     """Feasible point from an arbitrary field, with its energy.
 
-    Shifts by c(u), then scales v = u + c(u) by the ray minimizer
+    Shifts by c(u), found inside `bracket` when one is given (see
+    functional.c_shift), then scales v = u + c(u) by the ray minimizer
     t* = (A / D)^{1/(2-q)}, where A = int |v|^q and D is the Dirichlet
     energy of v.  The energy at t* v is then in closed form,
     phi = -(2-q)/(2q) A t*^q = -(2-q)/(2q) A^{2/(2-q)} / D^{q/(2-q)}, so one
@@ -100,7 +105,7 @@ def project(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, float]:
     """
     u = np.asarray(u, dtype=float)
     g, q = spec.grid, spec.q
-    v = u + functional.c_shift(spec, u)
+    v = u + functional.c_shift(spec, u, bracket=bracket)
     d = geometry.dirichlet_energy(g, v)
     if d <= 0.0:
         return np.zeros_like(v), 0.0
@@ -179,11 +184,14 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
             eta = eta / _BACKTRACK
         eta = min(max(eta, 1e-6 * _STEP0), eta_cap)
         prev_u, prev_grad = u, euclid
+        # u is feasible and the shift is monotone, so the shift of u - eta d
+        # lies in [eta min d, eta max d]
+        dmin, dmax = float(np.min(d)), float(np.max(d))
         accepted = False
         # halve until Armijo holds or the predicted decrease is at roundoff;
         # no absolute floor: phi = 0 only at the zero field, where slope = 0
         while eta * slope > _ROUNDOFF * abs(phi):
-            trial, phi_t = project(spec, u - eta * d)
+            trial, phi_t = project(spec, u - eta * d, (eta * dmin, eta * dmax))
             if phi_t <= phi - _ARMIJO * eta * slope:
                 accepted = True
                 break

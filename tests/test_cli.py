@@ -114,7 +114,10 @@ def test_solve_interval_and_verify(tmp_path, capsys):
     assert report["energy"] == pytest.approx(-1.0 / 3.0, abs=1e-3)
     assert report["converged"] is True
     assert report["domain"]["kind"] == "interval"
-    assert report["seed"] == 3
+    # the dipole wins here by 2.5e-14 relative, too close to pin: the
+    # report carries its start's seed, the config the one given
+    assert report["config"]["seed"] == 3
+    assert report["seed"] == report["near_best"][0]["seed"]
     assert "version" in report
     assert (out / "field.csv").exists()
     assert (out / "diagnostics.json").exists()

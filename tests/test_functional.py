@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodal_lab import functional as fn
@@ -113,10 +113,15 @@ def test_c_shift_constant(interval_grid):
 
 
 def test_c_shift_odd_field(interval_grid):
-    x = interval_grid.coords[:, 0]
-    u = x + 0.2 * np.sin(math.pi * x)        # odd, sign-symmetric
-    for q in (1.0, 1.25, 1.5, 1.75):
-        assert abs(fn.c_shift(fn.ProblemSpec(interval_grid, q), u)) <= 1e-10
+    # on the 96-node grids the cumulative weight of the negative nodes falls
+    # short of half the total by rounding alone; a tie test at the median
+    # index only missed it and returned an end of the median interval
+    for g in (interval_grid, geo.build_grid(geo.DomainSpec.interval(1.0), 96),
+              geo.build_grid(geo.DomainSpec.rectangle(2.0, 1.0), 96)):
+        x = g.coords[:, 0]
+        u = x + 0.2 * np.sin(math.pi * x)        # odd, sign-symmetric
+        for q in (1.0, 1.25, 1.5, 1.75):
+            assert abs(fn.c_shift(fn.ProblemSpec(g, q), u)) <= 1e-10
 
 
 def test_c_shift_weighted_median_two_level():
@@ -291,6 +296,81 @@ def test_c_shift_reaches_roots_next_to_a_zero_plateau(q, share, seed):
                             float(np.dot(g.weights, np.abs(u + ref) ** (q - 1.0))))
         assert all(abs(fn._signed_mean(g, u, q, x)) > bound
                    for x in (np.nextafter(ref, -1.0), ref, np.nextafter(ref, 1.0)))
+
+
+def _x1_flip(grid):
+    """The hyperplane id of the reflection x1 -> -x1 (see geometry.reflect)."""
+    return grid.shape[1] // 2 if grid.is_polar else 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1), k=st.floats(-10.0, 10.0))
+def test_c_shift_q1_of_odd_fields(grid, seed, k):
+    # an odd field in x1 on a grid with an even node count along x1 puts
+    # half the weight, up to rounding, on either sign: the median interval
+    # is symmetric about 0, and its midpoint is returned whichever side of
+    # half the rounding left the cumulative weight
+    assume(grid.is_polar or grid.shape[0] % 2 == 0)
+    spec = fn.ProblemSpec(grid, 1.0)
+    v = smooth_random_field(grid, np.random.default_rng(seed))
+    u = v - geo.reflect(grid, v, _x1_flip(grid))
+    c = fn.c_shift(spec, u)
+    assert fn.c_shift(spec, -u) == -c
+    uk = u + k
+    assert abs(fn.c_shift(spec, uk) - (c - k)) <= 4.0 * np.spacing(float(np.max(np.abs(uk))))
+
+
+def _shift_field(grid, rng, kind):
+    """A smooth random field; the same rounded to 9 levels (many ties), or
+    with half its nodes set to exactly 0; or nearly constant."""
+    u = smooth_random_field(grid, rng)
+    if kind == "tied":
+        return np.round(4.0 * u / np.max(np.abs(u)))
+    if kind == "zeros":
+        u[rng.random(u.size) < 0.5] = 0.0
+    elif kind == "flat":
+        u = 3.0 + 1e-6 * u
+    return u
+
+
+@pytest.mark.filterwarnings("ignore:c_shift residual")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid=small_grids(), q=st.just(1.0) | st.floats(1.01, 1.99),
+       kinds=st.lists(st.sampled_from(("smooth", "tied", "zeros", "flat")),
+                      min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1), eta=st.floats(-6.0, 1.0))
+def test_c_shift_from_a_proven_bracket(grid, q, kinds, seed, eta):
+    # a descent trial u - eta d from a feasible u has its shift in
+    # [eta min d, eta max d]; from that bracket c_shift gives the median
+    # bit for bit and a root that meets the bound the plain call meets
+    spec = fn.ProblemSpec(grid, q)
+    rng = np.random.default_rng(seed)
+    u = _shift_field(grid, rng, kinds[0])
+    u = u + fn.c_shift(spec, u)
+    d = _shift_field(grid, rng, kinds[1])
+    eta = 10.0 ** eta
+    v = u - eta * d
+    plain = fn.c_shift(spec, v)
+    c = fn.c_shift(spec, v, bracket=(eta * np.min(d), eta * np.max(d)))
+    if q == 1.0:
+        assert c == plain
+    else:
+        def residual(x):
+            return abs(fn._signed_mean(grid, v, q, x))
+        bound = 1e-10 * max(grid.domain.measure,
+                            float(np.dot(grid.weights, np.abs(v + c) ** (q - 1.0))))
+        assert residual(c) <= bound or residual(plain) > bound
+    # brackets beside the root fail their check and give the plain result;
+    # at q = 1 so does any bracket, such as one that puts an end of a tied
+    # median interval at the edge of the window
+    w = 1.0 + float(np.max(v) - np.min(v))
+    wrong = [(plain + w, plain + 2.0 * w), (plain - 2.0 * w, plain - w)]
+    if q == 1.0:
+        vals = np.sort(v)
+        k = np.searchsorted(vals, -plain) + np.arange(-3, 4)
+        wrong += [(-x, -x) for x in vals[np.clip(k, 0, len(vals) - 1)]]
+    for b in wrong:
+        assert fn.c_shift(spec, v, bracket=b) == plain
 
 
 def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):

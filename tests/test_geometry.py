@@ -339,6 +339,22 @@ def test_h1_solve_matches_dense_solve(grid, seed):
     assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [
+    geo.build_grid(geo.DomainSpec.interval(1.0), 20),
+    *(geo.build_grid(spec, (n0, 10))
+      for n0 in (8, 9, 16, 17, 31)
+      for spec in (geo.DomainSpec.rectangle(1.5, 1.0), geo.DomainSpec.disc(1.0),
+                   geo.DomainSpec.annulus(0.3, 1.0)))],
+    ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}")
+def test_h1_solve_at_the_edge_sizes_of_cyclic_reduction(grid):
+    # the systems along axis 0 have n0 rows: 1 on the interval, a power of
+    # two, one more, and 31, whose levels shrink 31 -> 15 -> 7 -> 3 -> 1
+    b = np.random.default_rng(grid.n_nodes).standard_normal(grid.n_nodes)
+    ref = np.linalg.solve(_dense_stiffness(grid) + np.diag(grid.weights), b)
+    assert np.max(np.abs(grid.h1_solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
+
+
 def test_angular_profiles(disc_grid):
     r, th = polar_coords(disc_grid)
     profiles, means = geo.angular_profiles(disc_grid, r)
