@@ -274,6 +274,7 @@ def cmd_sweep(args) -> int:
     cfg, grid, scfg = _setup(args)
     t0 = time.perf_counter()
     reports = minimize.continuation_sweep(grid, q_list, scfg)
+    elapsed = time.perf_counter() - t0
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "sweep.csv", "q,energy,iterations,constraint,converged",
@@ -281,9 +282,8 @@ def cmd_sweep(args) -> int:
                  for q, rep in zip(q_list, reports)),
                 "%.17g,%.17g,%d,%s,%d")
     for q, rep in zip(q_list, reports):
-        print(f"t={time.perf_counter() - t0:8.2f}s  q={q:.4f}  "
-              f"energy={rep.energy:.9e}  ({rep.constraint})")
-    print(f"wrote {out / 'sweep.csv'}")
+        print(f"q={q:.4f}  energy={rep.energy:.9e}  ({rep.constraint})")
+    print(f"wrote {out / 'sweep.csv'} ({elapsed:.2f}s)")
     return 0 if all(r.converged for r in reports) else 2
 
 

@@ -161,18 +161,29 @@ def _geometric_point(lo: float, hi: float) -> float | None:
     return c if hi > 0.0 else -c
 
 
+_GUESSED_STEPS = 8                     # Newton-secant steps before Illinois
+
+
 def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
-            bracket: tuple[float, float] | None = None) -> float:
+            bracket: tuple[float, float] | None = None,
+            guess: float | None = None) -> float:
     """The unique constant c making u + c feasible.
 
-    q > 1: root of the strictly increasing map c -> int |u+c|^{q-2}(u+c),
-    bracketed by [-max u, -min u], or by `bracket` when the map changes
-    sign across it, and solved by Illinois regula falsi
-    (secant steps on the sign-change bracket, halving the value kept at a
-    stale endpoint; Newton is not safe here because the integrand has
-    unbounded slope near node zeros).  A secant point outside the open
-    bracket falls back to the bracket midpoint.  Once the bracket has
-    straddled 0 for 8 steps in a row, it is cut at 0 and then at the
+    q > 1: root of the strictly increasing map F: c -> int |u+c|^{q-2}(u+c),
+    bracketed by [-max u, -min u], or by `bracket`.  Given a `guess`, up to
+    8 safeguarded Newton-secant steps start from it without evaluating the
+    bracket's ends: a Newton step first, with F'(c) = (q-1) int |u+c|^{q-2}
+    (zero nodes left out) from the evaluation's own power array, then secant
+    steps through the last two points.  Each evaluation narrows the
+    bracket, and a step that leaves the narrowed bracket (or a guess
+    outside it, or NaN) bisects it instead, so the unbounded slope of F
+    near node zeros, which makes plain Newton unsafe, costs at most a
+    bisection.  Without a guess, or once those steps are spent, the ends of
+    the (narrowed) bracket are checked to straddle the root and Illinois
+    regula falsi runs on it (secant steps on the sign-change bracket,
+    halving the value kept at a stale endpoint).  A secant point outside
+    the open bracket falls back to the bracket midpoint.  Once the bracket
+    has straddled 0 for 8 steps in a row, it is cut at 0 and then at the
     geometric mean of its ends until they are within a factor 2: a plateau
     of exact zeros at q near 1 puts the root 1e-52 to 1e-135 from 0, out of
     reach of steps that at best halve the bracket.  The first point with
@@ -181,14 +192,18 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
     smaller residual is, with a RuntimeWarning if that is above tolerance.
     q = 1: negative weighted median, median-interval midpoints resolved as
     in _weighted_median_shift, which sorts only the nodes `bracket` leaves
-    as candidates when they hold the half mass.
+    as candidates when they hold the half mass; `guess` is not used.
 
     bracket: an interval (lo, hi) proven to hold c, such as
     [eta min d, eta max d] for u = v - eta d with v feasible.  A bracket
-    that fails its check gives the result without it.
+    whose ends turn out not to straddle the root gives the result without
+    it.
+    guess: a first estimate of c, such as the first-order shift eta mu of
+    such a trial (see minimize.minimize_energy).
     """
     u = np.asarray(u, dtype=float)
     g = spec.grid
+    q = spec.q
     if spec.sublinear_q1:
         return _weighted_median_shift(g, u, bracket)
     if bracket is None:
@@ -197,19 +212,47 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
             return lo
     else:
         lo, hi = bracket
-    flo = _signed_mean(g, u, spec.q, lo)
-    if flo == 0.0:
-        return lo
-    fhi = _signed_mean(g, u, spec.q, hi)
-    if fhi == 0.0:
-        return hi
+    # stop once the residual sits three decades under the target tolerance
+    early = 1e-3 * tol * g.domain.measure
+    flo = fhi = None
+    if guess is not None:
+        c, last = guess, None
+        for _ in range(_GUESSED_STEPS):
+            if not lo < c < hi:
+                c = 0.5 * (lo + hi)
+                if not lo < c < hi:
+                    break               # lo and hi are adjacent doubles
+            v = u + c
+            p = signed_power(v, q - 1.0)
+            fc = float(np.dot(g.weights, p))
+            if abs(fc) <= early:
+                return c
+            if fc < 0.0:
+                lo, flo = c, fc
+            else:
+                hi, fhi = c, fc
+            if last is None:
+                dfc = (q - 1.0) * float(np.dot(
+                    g.weights, np.divide(p, v, out=np.zeros_like(v), where=p != 0.0)))
+            else:
+                dfc = (fc - last[1]) / (c - last[0])
+            last = c, fc
+            # c is now an end of the bracket, so a step that rounds to 0
+            # bisects too, and the next secant has two distinct points
+            c = c - fc / dfc if dfc > 0.0 else math.nan
+    if flo is None:
+        flo = _signed_mean(g, u, q, lo)
+        if flo == 0.0:
+            return lo
+    if fhi is None:
+        fhi = _signed_mean(g, u, q, hi)
+        if fhi == 0.0:
+            return hi
     if not flo < 0.0 < fhi:             # a bracket that misses the root
         return c_shift(spec, u, tol)
-    # F(lo) < 0 < F(hi); keep the sign-change bracket.  Stop early once the
-    # residual sits three decades under the target tolerance.  glo and ghi
-    # are the endpoint values the secant uses: Illinois halves the one at an
+    # F(lo) < 0 < F(hi); keep the sign-change bracket.  glo and ghi are the
+    # endpoint values the secant uses: Illinois halves the one at an
     # endpoint that stays put for a second step in a row.
-    early = 1e-3 * tol * g.domain.measure
     glo, ghi, side = flo, fhi, 0
     straddled, geometric = 0, False
     for _ in range(200):
@@ -224,7 +267,7 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
             c = 0.5 * (lo + hi)
             if not lo < c < hi:
                 break                   # lo and hi are adjacent doubles
-        fc = _signed_mean(g, u, spec.q, c)
+        fc = _signed_mean(g, u, q, c)
         if abs(fc) <= early:
             return c
         if fc < 0.0:
@@ -239,7 +282,7 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
             side = 1
     c, fc = (lo, flo) if -flo <= fhi else (hi, fhi)
     if abs(fc) > tol * max(g.domain.measure,
-                           float(np.dot(g.weights, np.abs(u + c) ** (spec.q - 1.0)))):
+                           float(np.dot(g.weights, np.abs(u + c) ** (q - 1.0)))):
         warnings.warn("c_shift residual above tolerance", RuntimeWarning)
     return c
 

@@ -6,10 +6,15 @@ map (feasible shift c(u), then the ray minimizer t*), so every accepted
 iterate is feasible and its energy is a valid upper bound for the infimum.
 The energy of a projected field is in closed form in its two integrals
 (the Dirichlet energy and int |v|^q of the shifted field), so the projection
-returns it without a separate energy evaluation.  The shift of a trial
-u - eta d is found inside [eta min d, eta max d]: u is feasible and the
-shift is monotone, so that interval holds it, and its width is
-eta osc(d), not osc(u - eta d).
+returns it without a separate energy evaluation.  The Dirichlet energy of
+a trial u - eta d is a quadratic in eta whose coefficients come from dot
+products: Ku is the raw gradient plus the nonlinearity it subtracts, and
+(K + W) d is the right-hand side of the H1 solve; no trial, and no spectral
+step below, walks the grid for it.  The shift of a trial is found inside
+[eta min d, eta max d]: u is feasible and the shift is monotone, so that
+interval holds it, and its width is eta osc(d), not osc(u - eta d).  For
+q > 1 the search starts from the first-order shift eta mu, the
+implicit-function derivative of the constraint at u.
 The descent direction is the gradient of the energy in the H1 inner
 product (stiffness plus mass), which preconditions away the mesh-dependent
 stiffness of the plain quadrature-weighted gradient and gives
@@ -92,21 +97,24 @@ def _constraint_name(spec: ProblemSpec) -> str:
 
 
 def project(spec: ProblemSpec, u: np.ndarray,
-            bracket: tuple[float, float] | None = None) -> tuple[np.ndarray, float]:
+            bracket: tuple[float, float] | None = None,
+            guess: float | None = None,
+            dirichlet: float | None = None) -> tuple[np.ndarray, float]:
     """Feasible point from an arbitrary field, with its energy.
 
-    Shifts by c(u), found inside `bracket` when one is given (see
-    functional.c_shift), then scales v = u + c(u) by the ray minimizer
-    t* = (A / D)^{1/(2-q)}, where A = int |v|^q and D is the Dirichlet
-    energy of v.  The energy at t* v is then in closed form,
+    Shifts by c(u), found inside `bracket` and from `guess` when they are
+    given (see functional.c_shift), then scales v = u + c(u) by the ray
+    minimizer t* = (A / D)^{1/(2-q)}, where A = int |v|^q and D is the
+    Dirichlet energy of v.  The energy at t* v is then in closed form,
     phi = -(2-q)/(2q) A t*^q = -(2-q)/(2q) A^{2/(2-q)} / D^{q/(2-q)}, so one
-    gather and one array power serve both.  Constants project to the zero
-    field.
+    array power serves both.  D does not change under the shift, so a
+    caller that knows the Dirichlet energy of u passes it as `dirichlet`
+    and no neighbour walk is made.  Constants project to the zero field.
     """
     u = np.asarray(u, dtype=float)
     g, q = spec.grid, spec.q
-    v = u + functional.c_shift(spec, u, bracket=bracket)
-    d = geometry.dirichlet_energy(g, v)
+    v = u + functional.c_shift(spec, u, bracket=bracket, guess=guess)
+    d = geometry.dirichlet_energy(g, v) if dirichlet is None else dirichlet
     if d <= 0.0:
         return np.zeros_like(v), 0.0
     a = functional.abs_power_integral(spec, v)
@@ -121,16 +129,67 @@ def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _descent_direction(spec: ProblemSpec, u: np.ndarray):
-    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0)."""
+    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0, D(d)).
+
+    The mean of g, a = sum g / sum w, is split off before the solve and
+    not added back to d: (K + W)^{-1} a w = a is a constant, which the
+    projection's shift absorbs.  The slope keeps its share, a sum g.
+    D(d) = <rhs, d> - <d, d>_w, rhs = g - a w the right-hand side solved,
+    holds up to <d, r>, r the solve's residual, which is small because d
+    is smooth; a large a, such as -int sgn(u) / |Omega| at q = 1 on a small
+    domain, would bury the variation of d in its rounding and break it.
+    """
     g = spec.grid
     grad_w = functional.energy_gradient(spec, u)       # w-metric gradient
     euclid = g.weights * grad_w                        # raw partial derivatives
-    d = g.h1_solve(euclid)
-    return euclid, d, float(np.dot(euclid, d))
+    total = float(np.sum(euclid))
+    mean = total / float(np.sum(g.weights))
+    rhs = g.weights * -mean
+    rhs += euclid
+    d = g.h1_solve(rhs)
+    dd = float(np.dot(rhs, d)) - float(np.dot(g.weights * d, d))
+    return euclid, d, float(np.dot(euclid, d)) + mean * total, dd
 
 
 def _wnorm(g, v) -> float:
     return float(np.sqrt(np.dot(g.weights, v * v)))
+
+
+def _trial_model(spec: ProblemSpec, u: np.ndarray, a: float, euclid: np.ndarray,
+                 d: np.ndarray, dd: float) -> tuple[tuple[float, float, float], float | None]:
+    """What an iterate u with a = int |u|^q knows of every trial u - eta d,
+    from dot products alone: coef = (D(u), <Ku, d>, D(d) = dd), K the
+    Dirichlet form, so that D(u - eta d) = _dirichlet_along(coef, 1, eta);
+    and mu, the trial's shift to first order in eta, or None where it is
+    undefined.
+
+    Ku = euclid + W p, with euclid the raw gradient and p = sgn(u)|u|^{q-1}
+    the nonlinearity it subtracts.  So D(u) = <euclid, u> + a: the walked
+    D(u) enters through euclid, so the rounding of one step's closed form
+    does not carry into the next, as it would with D(u) = a, which holds at
+    the ray optimum.  <Ku, d> = <euclid, d> + <p, d>_w; taken instead from
+    the H1 solve as <u, rhs> - <u, d>_w it carries <u, r>, r the solve's
+    residual, which reached 1e-11 relative on a 1024-node interval (u has
+    a kink at its nodal set).  mu = int |u|^{q-2} d / int |u|^{q-2}
+    (q > 1), the implicit-function derivative of the constraint at the
+    feasible u; undefined where u has zeros.
+    """
+    g, q = spec.grid, spec.q
+    p = functional.signed_power(u, q - 1.0)
+    wd = g.weights * d
+    coef = (float(np.dot(euclid, u)) + a, float(np.dot(euclid, d)) + float(np.dot(p, wd)), dd)
+    if spec.sublinear_q1:
+        return coef, None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.divide(p, u, out=p)       # |u|^{q-2}: NaN at zeros, inf at subnormals
+    mu = float(np.dot(r, wd)) / float(np.dot(r, g.weights))
+    return coef, mu if math.isfinite(mu) else None
+
+
+def _dirichlet_along(coef: tuple[float, float, float], a: float, b: float) -> float:
+    """D(a u - b d) from coef = (D(u), <Ku, d>, D(d))."""
+    du, kud, dd = coef
+    return a * a * du - 2.0 * a * b * kud + b * b * dd
 
 
 def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveReport:
@@ -160,10 +219,13 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     reason = "max-iterations-exceeded"
     it = 0
     prev_u = prev_grad = None
+    ks = 0.0                           # s'Ks of the last step s
+    # a projected field sits at its ray optimum, where D = int |u|^q = nehari * phi
+    nehari = -2.0 * spec.q / (2.0 - spec.q)
 
     while it < config.max_iter:
         it += 1
-        euclid, d, slope = _descent_direction(spec, u)
+        euclid, d, slope, dd = _descent_direction(spec, u)
         if slope <= 0.0 or not np.isfinite(slope):
             converged, reason = True, "zero-gradient"
             grad_norm = 0.0
@@ -176,22 +238,25 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
             s = u - prev_u
             sy = float(np.dot(s, euclid - prev_grad))
             if sy > 0.0:
-                ss = geometry.dirichlet_energy(g, s) + float(np.dot(g.weights, s * s))
-                eta = ss / sy
+                eta = (ks + float(np.dot(g.weights, s * s))) / sy
             else:
                 eta = eta / _BACKTRACK
         else:
             eta = eta / _BACKTRACK
         eta = min(max(eta, 1e-6 * _STEP0), eta_cap)
         prev_u, prev_grad = u, euclid
-        # u is feasible and the shift is monotone, so the shift of u - eta d
-        # lies in [eta min d, eta max d]
+        # the Dirichlet energy along u - eta d is quadratic in eta; u is
+        # feasible and the shift is monotone, so the shift of u - eta d lies
+        # in [eta min d, eta max d], and to first order at eta mu
+        coef, mu = _trial_model(spec, u, nehari * phi, euclid, d, dd)
         dmin, dmax = float(np.min(d)), float(np.max(d))
         accepted = False
         # halve until Armijo holds or the predicted decrease is at roundoff;
         # no absolute floor: phi = 0 only at the zero field, where slope = 0
         while eta * slope > _ROUNDOFF * abs(phi):
-            trial, phi_t = project(spec, u - eta * d, (eta * dmin, eta * dmax))
+            dv = _dirichlet_along(coef, 1.0, eta)
+            trial, phi_t = project(spec, u - eta * d, (eta * dmin, eta * dmax),
+                                   None if mu is None else eta * mu, dv)
             if phi_t <= phi - _ARMIJO * eta * slope:
                 accepted = True
                 break
@@ -200,6 +265,10 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
             converged, reason = True, "no-descent-step"
             break
         grad_norm = _wnorm(g, trial - u) / eta
+        # trial = t (u - eta d) up to a constant, where project scaled the
+        # Dirichlet energy dv by t^2
+        t = math.sqrt(nehari * phi_t / dv)
+        ks = _dirichlet_along(coef, t - 1.0, t * eta)
         u, phi = trial, phi_t
         trace.append(phi)
         if grad_norm <= config.grad_tol:
@@ -248,7 +317,9 @@ def multistart(spec: ProblemSpec, config: SolveConfig) -> SolveReport:
 def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
     """Solve a descending list of exponents, warm-starting each run from the
     previous minimizer re-projected under the new constraint.  The first
-    exponent is solved by multistart."""
+    exponent is solved by multistart.  A q = 1 run warm-started from a
+    q > 1 minimizer has its stop reason marked: the constraint switched from
+    the signed mean to the sign balance."""
     qs = [float(q) for q in q_list]
     if not qs:
         raise ValueError("continuation needs at least one exponent")
@@ -265,7 +336,7 @@ def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
         else:
             rep = minimize_energy(spec, config, u0=prev)
             rep.recipe = "warm-start"
-        if spec.sublinear_q1:
+        if spec.sublinear_q1 and reports and reports[-1].q > 1.0:
             rep.stop_reason += "; constraint switched to sign-balance"
         reports.append(rep)
         prev = rep.u

@@ -313,7 +313,7 @@ def test_verify_closed_form_radial_on_disc(tmp_path):
     assert run(["verify", out / "report.json"]) == 0
 
 
-def test_sweep_command(tmp_path):
+def test_sweep_command(tmp_path, capsys):
     out = tmp_path / "sw"
     code = run(["sweep", "--q-list", "1.5,1.25,1.0", "--domain", "interval",
                 "--n", 256, "--seed", 5, "--starts", 2, "--out", out])
@@ -322,6 +322,10 @@ def test_sweep_command(tmp_path):
     assert lines[0] == "q,energy,iterations,constraint,converged"
     assert len(lines) == 4
     assert "sign-balance" in lines[3]
+    # one row per exponent, and the time of the whole sweep printed once
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[:3]] == ["q=1.5000", "q=1.2500", "q=1.0000"]
+    assert sum(line.endswith("s)") for line in printed) == 1
 
     out2 = tmp_path / "sw2"
     run(["sweep", "--q-list", "1.5,1.25,1.0", "--domain", "interval",

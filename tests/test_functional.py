@@ -373,6 +373,50 @@ def test_c_shift_from_a_proven_bracket(grid, q, kinds, seed, eta):
         assert fn.c_shift(spec, v, bracket=b) == plain
 
 
+@pytest.mark.filterwarnings("ignore:c_shift residual")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid=small_grids(), q=st.just(1.0) | st.floats(1.01, 1.99),
+       kinds=st.lists(st.sampled_from(("smooth", "tied", "zeros", "flat")),
+                      min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1), eta=st.floats(-6.0, 1.0),
+       trial=st.booleans(),
+       place=st.sampled_from(("inside", "lo", "hi", "below", "above", "nan")),
+       frac=st.floats(0.0, 1.0))
+def test_c_shift_from_a_guess(grid, q, kinds, seed, eta, trial, place, frac):
+    # a guess inside the bracket, at its ends, outside it or NaN: the
+    # guessed search stays in the bracket and meets the residual bound
+    # whenever the unguessed call does; at q = 1 the guess is not used.
+    # The bracket is a descent trial's [eta min d, eta max d], or the
+    # default [-max v, -min v]
+    spec = fn.ProblemSpec(grid, q)
+    rng = np.random.default_rng(seed)
+    u = _shift_field(grid, rng, kinds[0])
+    d = _shift_field(grid, rng, kinds[1])
+    if trial:
+        u = u + fn.c_shift(spec, u)
+        eta = 10.0 ** eta
+        v, bracket = u - eta * d, (eta * np.min(d), eta * np.max(d))
+    else:
+        v, bracket = u, None
+    lo, hi = bracket or (-float(np.max(v)), -float(np.min(v)))
+    width = hi - lo
+    guess = {"inside": lo + frac * width, "lo": lo, "hi": hi,
+             "below": lo - (1.0 + frac) * width - frac,
+             "above": hi + (1.0 + frac) * width + frac, "nan": math.nan}[place]
+    plain = fn.c_shift(spec, v, bracket=bracket)
+    c = fn.c_shift(spec, v, bracket=bracket, guess=guess)
+    if q == 1.0:
+        assert c == plain
+        return
+
+    def meets(x):
+        return abs(fn._signed_mean(grid, v, q, x)) <= 1e-10 * max(
+            grid.domain.measure, float(np.dot(grid.weights, np.abs(v + x) ** (q - 1.0))))
+
+    assert meets(c) or not meets(plain)
+    assert lo <= c <= hi or not lo <= plain <= hi
+
+
 def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):
     # the dipole field has nodes within 1e-16 of the root, where F has
     # unbounded slope; bisection took 60 evaluations here
