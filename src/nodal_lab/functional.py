@@ -101,6 +101,7 @@ def _weighted_median_shift(grid: Grid, u: np.ndarray, bracket=None) -> float:
     the weight below them starting the cumulative sum.  Unless the half
     mass falls strictly inside them, tie tolerance included, or when no
     candidate passes the membership test, all of u is sorted instead.
+    Without a bracket, a field with a non-finite node raises ValueError.
     """
     w = grid.weights
     total = float(np.sum(w))
@@ -117,6 +118,8 @@ def _weighted_median_shift(grid: Grid, u: np.ndarray, bracket=None) -> float:
         order = near[np.argsort(u[near], kind="stable")]
         below = float(np.sum(w, where=u < a))
     vals = u[order]
+    if bracket is None and not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):
+        raise ValueError("non-finite field: c_shift needs finite node values")
     cum = np.cumsum(np.concatenate(([below], w[order])))[1:]
     if bracket is not None and not (below < half - tie and cum[-1] > half + tie):
         return _weighted_median_shift(grid, u)
@@ -161,45 +164,39 @@ def _geometric_point(lo: float, hi: float) -> float | None:
     return c if hi > 0.0 else -c
 
 
-_GUESSED_STEPS = 8                     # Newton-secant steps before Illinois
-
-
 def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
             bracket: tuple[float, float] | None = None,
             guess: float | None = None) -> float:
     """The unique constant c making u + c feasible.
 
-    q > 1: root of the strictly increasing map F: c -> int |u+c|^{q-2}(u+c),
-    bracketed by [-max u, -min u], or by `bracket`.  Given a `guess`, up to
-    8 safeguarded Newton-secant steps start from it without evaluating the
-    bracket's ends: a Newton step first, with F'(c) = (q-1) int |u+c|^{q-2}
-    (zero nodes left out) from the evaluation's own power array, then secant
-    steps through the last two points.  Each evaluation narrows the
-    bracket, and a step that leaves the narrowed bracket (or a guess
-    outside it, or NaN) bisects it instead, so the unbounded slope of F
-    near node zeros, which makes plain Newton unsafe, costs at most a
-    bisection.  Without a guess, or once those steps are spent, the ends of
-    the (narrowed) bracket are checked to straddle the root and Illinois
-    regula falsi runs on it (secant steps on the sign-change bracket,
-    halving the value kept at a stale endpoint).  A secant point outside
-    the open bracket falls back to the bracket midpoint.  Once the bracket
-    has straddled 0 for 8 steps in a row, it is cut at 0 and then at the
-    geometric mean of its ends until they are within a factor 2: a plateau
-    of exact zeros at q near 1 puts the root 1e-52 to 1e-135 from 0, out of
-    reach of steps that at best halve the bracket.  The first point with
-    residual below 1e-3 tol |Omega| is returned; failing that, after 200
-    steps or once the bracket ends are adjacent doubles, the end with the
-    smaller residual is, with a RuntimeWarning if that is above tolerance.
+    q > 1: root of the strictly increasing map F: c -> int |u+c|^{q-2}(u+c)
+    in [-max u, -min u], or in `bracket`, by one safeguarded Newton search
+    (after rtsafe, Numerical Recipes 9.4) from `guess`, or from 0.  Each
+    evaluation narrows the bracket by the sign of F and proposes c - F/F',
+    F' = (q-1) int |u+c|^{q-2} (zero nodes left out) from the evaluation's
+    own power array.  F has unbounded slope near node zeros, so a Newton
+    point outside the open bracket, or more than half the last step away,
+    gives way to the Illinois point (regula falsi, halving the value at an
+    end that stays put twice in a row), or to the midpoint while an end is
+    unevaluated.  After 8 steps in a row with 0 inside the bracket, it is
+    cut at 0 and then at the geometric mean of its ends until they are
+    within a factor 2: a plateau of exact zeros at q near 1 puts the root
+    1e-52 to 1e-135 from 0, out of reach of steps that at best halve the
+    bracket.  The first point with residual below 1e-3 tol |Omega| is
+    returned; failing that, after 200 steps or once the bracket ends are
+    adjacent doubles, the evaluated end with the smaller residual (lo if
+    neither was) is, with a RuntimeWarning if that is above tolerance.
     q = 1: negative weighted median, median-interval midpoints resolved as
     in _weighted_median_shift, which sorts only the nodes `bracket` leaves
     as candidates when they hold the half mass; `guess` is not used.
 
     bracket: an interval (lo, hi) proven to hold c, such as
-    [eta min d, eta max d] for u = v - eta d with v feasible.  A bracket
-    whose ends turn out not to straddle the root gives the result without
-    it.
+    [eta min d, eta max d] for u = v - eta d with v feasible.  One on which
+    F keeps one sign leaves an end unevaluated, and the result is then
+    taken without it.
     guess: a first estimate of c, such as the first-order shift eta mu of
     such a trial (see minimize.minimize_energy).
+    Without a bracket, a field with a non-finite node raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     g = spec.grid
@@ -208,81 +205,55 @@ def c_shift(spec: ProblemSpec, u: np.ndarray, tol: float = 1e-10,
         return _weighted_median_shift(g, u, bracket)
     if bracket is None:
         lo, hi = -float(np.max(u)), -float(np.min(u))
-        if lo == hi:
-            return lo
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("non-finite field: c_shift needs finite node values")
     else:
         lo, hi = bracket
     # stop once the residual sits three decades under the target tolerance
     early = 1e-3 * tol * g.domain.measure
-    flo = fhi = None
-    if guess is not None:
-        c, last = guess, None
-        for _ in range(_GUESSED_STEPS):
+    # c is the next point and last the one evaluated before; while there
+    # is none, the NaN step lets the first Newton point pass on the bracket
+    c, last, step = (0.0 if guess is None else guess), math.nan, math.nan
+    flo = fhi = None                    # F at the ends, once evaluated
+    glo = ghi = 0.0                     # the values Illinois uses
+    side, straddled, geometric = 0, 0, False
+    for _ in range(200):
+        # the search left 0 inside the bracket for at most 5 steps in a row
+        # on the descents of the benchmark's grid solves
+        straddled = straddled + 1 if lo < 0.0 < hi else 0
+        geometric = geometric or straddled > 8
+        x = _geometric_point(lo, hi) if geometric else None
+        if x is not None:
+            c = x
+        elif not lo < c < hi or abs(c - last) > 0.5 * step:
+            c = (0.5 * (lo + hi) if flo is None or fhi is None
+                 else hi - ghi * (hi - lo) / (ghi - glo))
             if not lo < c < hi:
                 c = 0.5 * (lo + hi)
                 if not lo < c < hi:
                     break               # lo and hi are adjacent doubles
-            v = u + c
-            p = signed_power(v, q - 1.0)
-            fc = float(np.dot(g.weights, p))
-            if abs(fc) <= early:
-                return c
-            if fc < 0.0:
-                lo, flo = c, fc
-            else:
-                hi, fhi = c, fc
-            if last is None:
-                dfc = (q - 1.0) * float(np.dot(
-                    g.weights, np.divide(p, v, out=np.zeros_like(v), where=p != 0.0)))
-            else:
-                dfc = (fc - last[1]) / (c - last[0])
-            last = c, fc
-            # c is now an end of the bracket, so a step that rounds to 0
-            # bisects too, and the next secant has two distinct points
-            c = c - fc / dfc if dfc > 0.0 else math.nan
-    if flo is None:
-        flo = _signed_mean(g, u, q, lo)
-        if flo == 0.0:
-            return lo
-    if fhi is None:
-        fhi = _signed_mean(g, u, q, hi)
-        if fhi == 0.0:
-            return hi
-    if not flo < 0.0 < fhi:             # a bracket that misses the root
-        return c_shift(spec, u, tol)
-    # F(lo) < 0 < F(hi); keep the sign-change bracket.  glo and ghi are the
-    # endpoint values the secant uses: Illinois halves the one at an
-    # endpoint that stays put for a second step in a row.
-    glo, ghi, side = flo, fhi, 0
-    straddled, geometric = 0, False
-    for _ in range(200):
-        # Illinois left 0 inside the bracket for at most 5 steps in a row
-        # on the descents of the benchmark's grid solves
-        straddled = straddled + 1 if lo < 0.0 < hi else 0
-        geometric = geometric or straddled > 8
-        c = _geometric_point(lo, hi) if geometric else None
-        if c is None:
-            c = hi - ghi * (hi - lo) / (ghi - glo)
-        if not lo < c < hi:
-            c = 0.5 * (lo + hi)
-            if not lo < c < hi:
-                break                   # lo and hi are adjacent doubles
-        fc = _signed_mean(g, u, q, c)
+        step, last = abs(c - last), c
+        v = u + c
+        p = signed_power(v, q - 1.0)
+        fc = float(np.dot(g.weights, p))
         if abs(fc) <= early:
             return c
         if fc < 0.0:
-            lo, flo, glo = c, fc, fc
-            if side < 0:
-                ghi *= 0.5
-            side = -1
+            ghi *= 0.5 if side < 0 else 1.0
+            lo, flo, glo, side = c, fc, fc, -1
         else:
-            hi, fhi, ghi = c, fc, fc
-            if side > 0:
-                glo *= 0.5
-            side = 1
-    c, fc = (lo, flo) if -flo <= fhi else (hi, fhi)
-    if abs(fc) > tol * max(g.domain.measure,
-                           float(np.dot(g.weights, np.abs(u + c) ** (q - 1.0)))):
+            glo *= 0.5 if side > 0 else 1.0
+            hi, fhi, ghi, side = c, fc, fc, 1
+        with np.errstate(over="ignore"):     # |v|^{q-2} of a subnormal v
+            dfc = (q - 1.0) * float(np.dot(g.weights, np.divide(p, v, out=v, where=p != 0.0)))
+        # c is now an end of the bracket: a step that rounds to 0 falls back
+        c = c - fc / dfc if dfc > 0.0 else math.nan
+    ends = [(abs(f), e) for e, f in ((lo, flo), (hi, fhi)) if f is not None]
+    if len(ends) < 2 and bracket is not None:
+        return c_shift(spec, u, tol)        # F kept one sign on the bracket
+    fc, c = min(ends or [(abs(_signed_mean(g, u, q, lo)), lo)])
+    if fc > tol * max(g.domain.measure,
+                      float(np.dot(g.weights, np.abs(u + c) ** (q - 1.0)))):
         warnings.warn("c_shift residual above tolerance", RuntimeWarning)
     return c
 

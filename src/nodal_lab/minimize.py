@@ -13,8 +13,8 @@ products: Ku is the raw gradient plus the nonlinearity it subtracts, and
 step below, walks the grid for it.  The shift of a trial is found inside
 [eta min d, eta max d]: u is feasible and the shift is monotone, so that
 interval holds it, and its width is eta osc(d), not osc(u - eta d).  For
-q > 1 the search starts from the first-order shift eta mu, the
-implicit-function derivative of the constraint at u.
+q > 1 the shift's safeguarded Newton search starts from the first-order
+shift eta mu, the implicit-function derivative of the constraint at u.
 The descent direction is the gradient of the energy in the H1 inner
 product (stiffness plus mass), which preconditions away the mesh-dependent
 stiffness of the plain quadrature-weighted gradient and gives
@@ -129,7 +129,8 @@ def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _descent_direction(spec: ProblemSpec, u: np.ndarray):
-    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0, D(d)).
+    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0, D(d),
+    p = sgn(u)|u|^{q-1}), g = W (L_h u - p) as in functional.energy_gradient.
 
     The mean of g, a = sum g / sum w, is split off before the solve and
     not added back to d: (K + W)^{-1} a w = a is a constant, which the
@@ -140,15 +141,15 @@ def _descent_direction(spec: ProblemSpec, u: np.ndarray):
     domain, would bury the variation of d in its rounding and break it.
     """
     g = spec.grid
-    grad_w = functional.energy_gradient(spec, u)       # w-metric gradient
-    euclid = g.weights * grad_w                        # raw partial derivatives
+    p = functional.signed_power(u, spec.q - 1.0)
+    euclid = g.weights * (geometry.laplacian(g, u) - p)  # raw partial derivatives
     total = float(np.sum(euclid))
     mean = total / float(np.sum(g.weights))
     rhs = g.weights * -mean
     rhs += euclid
     d = g.h1_solve(rhs)
     dd = float(np.dot(rhs, d)) - float(np.dot(g.weights * d, d))
-    return euclid, d, float(np.dot(euclid, d)) + mean * total, dd
+    return euclid, d, float(np.dot(euclid, d)) + mean * total, dd, p
 
 
 def _wnorm(g, v) -> float:
@@ -156,26 +157,26 @@ def _wnorm(g, v) -> float:
 
 
 def _trial_model(spec: ProblemSpec, u: np.ndarray, a: float, euclid: np.ndarray,
-                 d: np.ndarray, dd: float) -> tuple[tuple[float, float, float], float | None]:
-    """What an iterate u with a = int |u|^q knows of every trial u - eta d,
-    from dot products alone: coef = (D(u), <Ku, d>, D(d) = dd), K the
-    Dirichlet form, so that D(u - eta d) = _dirichlet_along(coef, 1, eta);
-    and mu, the trial's shift to first order in eta, or None where it is
-    undefined.
+                 d: np.ndarray, dd: float,
+                 p: np.ndarray) -> tuple[tuple[float, float, float], float | None]:
+    """What an iterate u with a = int |u|^q and p = sgn(u)|u|^{q-1} knows of
+    every trial u - eta d, from dot products alone: coef = (D(u), <Ku, d>,
+    D(d) = dd), K the Dirichlet form, so that D(u - eta d) =
+    _dirichlet_along(coef, 1, eta); and mu, the trial's shift to first order
+    in eta, or None where it is undefined.  p is overwritten.
 
-    Ku = euclid + W p, with euclid the raw gradient and p = sgn(u)|u|^{q-1}
-    the nonlinearity it subtracts.  So D(u) = <euclid, u> + a: the walked
-    D(u) enters through euclid, so the rounding of one step's closed form
-    does not carry into the next, as it would with D(u) = a, which holds at
-    the ray optimum.  <Ku, d> = <euclid, d> + <p, d>_w; taken instead from
-    the H1 solve as <u, rhs> - <u, d>_w it carries <u, r>, r the solve's
-    residual, which reached 1e-11 relative on a 1024-node interval (u has
-    a kink at its nodal set).  mu = int |u|^{q-2} d / int |u|^{q-2}
-    (q > 1), the implicit-function derivative of the constraint at the
-    feasible u; undefined where u has zeros.
+    Ku = euclid + W p, with euclid the raw gradient and p the nonlinearity
+    it subtracts.  So D(u) = <euclid, u> + a: the walked D(u) enters through
+    euclid, so the rounding of one step's closed form does not carry into
+    the next, as it would with D(u) = a, which holds at the ray optimum.
+    <Ku, d> = <euclid, d> + <p, d>_w; taken instead from the H1 solve as
+    <u, rhs> - <u, d>_w it carries <u, r>, r the solve's residual, which
+    reached 1e-11 relative on a 1024-node interval (u has a kink at its
+    nodal set).  mu = int |u|^{q-2} d / int |u|^{q-2} (q > 1), the
+    implicit-function derivative of the constraint at the feasible u;
+    undefined where u has zeros.
     """
-    g, q = spec.grid, spec.q
-    p = functional.signed_power(u, q - 1.0)
+    g = spec.grid
     wd = g.weights * d
     coef = (float(np.dot(euclid, u)) + a, float(np.dot(euclid, d)) + float(np.dot(p, wd)), dd)
     if spec.sublinear_q1:
@@ -225,7 +226,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
 
     while it < config.max_iter:
         it += 1
-        euclid, d, slope, dd = _descent_direction(spec, u)
+        euclid, d, slope, dd, p = _descent_direction(spec, u)
         if slope <= 0.0 or not np.isfinite(slope):
             converged, reason = True, "zero-gradient"
             grad_norm = 0.0
@@ -248,7 +249,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         # the Dirichlet energy along u - eta d is quadratic in eta; u is
         # feasible and the shift is monotone, so the shift of u - eta d lies
         # in [eta min d, eta max d], and to first order at eta mu
-        coef, mu = _trial_model(spec, u, nehari * phi, euclid, d, dd)
+        coef, mu = _trial_model(spec, u, nehari * phi, euclid, d, dd, p)
         dmin, dmax = float(np.min(d)), float(np.max(d))
         accepted = False
         # halve until Armijo holds or the predicted decrease is at roundoff;

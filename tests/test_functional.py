@@ -417,19 +417,80 @@ def test_c_shift_from_a_guess(grid, q, kinds, seed, eta, trial, place, frac):
     assert lo <= c <= hi or not lo <= plain <= hi
 
 
-def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):
-    # the dipole field has nodes within 1e-16 of the root, where F has
-    # unbounded slope; bisection took 60 evaluations here
+def _count_evaluations(monkeypatch):
+    """A list that grows by one entry per signed_power call, the tracer's
+    measure of the shift's evaluations."""
     calls = []
-    signed_mean = fn._signed_mean
+    signed_power = fn.signed_power
 
     def counted(*args):
         calls.append(args)
-        return signed_mean(*args)
+        return signed_power(*args)
 
-    monkeypatch.setattr(fn, "_signed_mean", counted)
+    monkeypatch.setattr(fn, "signed_power", counted)
+    return calls
+
+
+def test_c_shift_evaluations_disc_dipole(disc_grid, monkeypatch):
+    # the dipole field has nodes within 1e-16 of the root, where F has
+    # unbounded slope; bisection took 60 evaluations here, the Illinois
+    # search from the bracket ends 10, Newton from 0 takes 3
+    calls = _count_evaluations(monkeypatch)
     fn.c_shift(fn.ProblemSpec(disc_grid, 1.5), disc_grid.x1)
-    assert len(calls) <= 12
+    assert len(calls) <= 3
+
+
+@pytest.mark.filterwarnings("ignore:c_shift residual")
+def test_c_shift_mean_evaluations(monkeypatch):
+    # smooth, half-zero and nearly constant fields on a 16x32 disc, q from
+    # 1.05 to 1.95: unguessed calls, and descent trials from a proven
+    # bracket with and without the first-order guess.  The means were 11.4,
+    # 11.2 and 8.3 with the guessed Newton-secant steps and the Illinois
+    # loop in a row, and are 8.5, 8.1 and 7.4 with one Newton search
+    grid = geo.build_grid(geo.DomainSpec.disc(1.0), (16, 32))
+    calls = _count_evaluations(monkeypatch)
+    counts = {"unguessed": [], "bracketed": [], "guessed": []}
+
+    def count(mode, *args, **kwargs):
+        calls.clear()
+        fn.c_shift(*args, **kwargs)
+        counts[mode].append(len(calls))
+
+    for kind in ("smooth", "zeros", "flat"):
+        for q in np.linspace(1.05, 1.95, 7):
+            spec = fn.ProblemSpec(grid, q)
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                u = _shift_field(grid, rng, kind)
+                count("unguessed", spec, u)
+                u = u + fn.c_shift(spec, u)
+                d = smooth_random_field(grid, rng)
+                r = grid.weights * np.abs(u) ** (q - 2.0)
+                mu = float(np.dot(r, d)) / float(np.sum(r))
+                for eta in (1e-3, 1e-1):
+                    v, bracket = u - eta * d, (eta * np.min(d), eta * np.max(d))
+                    count("bracketed", spec, v, bracket=bracket)
+                    count("guessed", spec, v, bracket=bracket, guess=eta * mu)
+    means = {mode: float(np.mean(n)) for mode, n in counts.items()}
+    assert means["unguessed"] <= 9.0, means
+    assert means["bracketed"] <= 8.5, means
+    assert means["guessed"] <= 7.8, means
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_is_rejected(disc_grid, q, bad):
+    # a field with a non-finite node has no feasible shift; unchecked, the
+    # q > 1 search recursed on its bracket check without end, and q = 1
+    # returned a finite median of the other nodes
+    spec = fn.ProblemSpec(disc_grid, q)
+    u = disc_grid.x1.copy()
+    u[7] = bad
+    for call in (fn.c_shift, mz.project):
+        with pytest.raises(ValueError, match="non-finite field"):
+            call(spec, u)
+    with pytest.raises(ValueError, match="non-finite field"):
+        mz.minimize_energy(spec, mz.SolveConfig(max_iter=1), u0=u)
 
 
 def test_in_constraint_examples(interval_grid, disc_grid):

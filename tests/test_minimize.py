@@ -75,9 +75,10 @@ def test_trial_dirichlet_energy_in_closed_form(grid, q, seed, eta):
     # D returns what it returns after its own walk
     spec = fn.ProblemSpec(grid, q)
     u, phi = mz.project(spec, smooth_random_field(grid, np.random.default_rng(seed)))
-    euclid, d, _, dd = mz._descent_direction(spec, u)
+    euclid, d, _, dd, p = mz._descent_direction(spec, u)
+    assert np.array_equal(euclid, grid.weights * fn.energy_gradient(spec, u))
     nehari = -2.0 * q / (2.0 - q)
-    coef, _ = mz._trial_model(spec, u, nehari * phi, euclid, d, dd)
+    coef, _ = mz._trial_model(spec, u, nehari * phi, euclid, d, dd, p)
     assert coef[0] == pytest.approx(geo.dirichlet_energy(grid, u), rel=1e-12)
     eta = 10.0 ** eta
     v = u - eta * d
