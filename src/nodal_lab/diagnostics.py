@@ -18,10 +18,10 @@ from . import functional, geometry, write_table
 from .geometry import Grid
 
 __all__ = [
-    "ZeroMeasureCurve", "SymmetryReport", "PdeResidual", "WSetCheck",
+    "ZeroMeasureCurve", "SymmetryReport", "PdeResidual",
     "zero_measure_curve", "nodal_domains", "foliated_schwarz_check",
-    "radiality_deviation", "pde_residual", "w_set_check",
-    "quantization_floor", "write_zero_curve_csv",
+    "radiality_deviation", "pde_residual", "quantization_floor",
+    "write_zero_curve_csv",
 ]
 
 
@@ -160,8 +160,9 @@ def _angular_monotonicity_violation(grid: Grid, u: np.ndarray,
 
 
 def _polarization_defect(grid: Grid, u: np.ndarray, toward: np.ndarray) -> float:
-    """max over the polar hyperplanes h of ||u_H - u||_w, with u_H =
-    geometry.polarize(grid, u, h, toward), read off the ring profiles P.
+    """max over the polar hyperplanes h of ||u_H - u||_w, read off the ring
+    profiles P, with u_H the two-point rearrangement of u across h toward
+    the halfspace toward points into (polarize in tests/conftest.py).
 
     Hyperplane h, at angle a = h pi/n_theta, maps column k to its mirror
     m = (h - k) mod n_theta, and its positive side, sin(theta_k - a) > 0, is
@@ -182,7 +183,7 @@ def _polarization_defect(grid: Grid, u: np.ndarray, toward: np.ndarray) -> float
         mirror, cols = doubled[:, hid + nth - lo:hid + nth - hi:-1], profiles[:, lo:hi]
         alpha = hid * math.pi / nth
         normal = np.array([-math.sin(alpha), math.cos(alpha)])
-        # the differences that polarize(...) - u holds, squared before weighting
+        # the differences that u_H - u holds, squared before weighting
         f = cols - mirror if float(np.dot(toward, normal)) < 0 else mirror - cols
         np.maximum(f, 0.0, out=f)
         f *= f
@@ -282,24 +283,3 @@ def pde_residual(grid: Grid, u: np.ndarray, q: float,
     return PdeResidual(interior_norm=interior, bracket_violation=viol,
                        flux_norm=flux, quantization_floor=floor)
 
-
-@dataclass
-class WSetCheck:
-    member: bool
-    min_gradient_on_zero_set: float
-
-
-def w_set_check(grid: Grid, u: np.ndarray, delta: float | None = None,
-                gradient_floor: float = 1e-6) -> WSetCheck:
-    """Regular-set membership: the reconstructed gradient magnitude must
-    stay above gradient_floor at every node within delta of zero (default
-    delta: the quantization floor)."""
-    u = np.asarray(u, dtype=float)
-    if delta is None:
-        delta = quantization_floor(grid, u)
-    near = np.abs(u) <= delta
-    if not near.any():
-        return WSetCheck(member=True, min_gradient_on_zero_set=float("inf"))
-    gm = geometry.gradient_magnitude(grid, u)
-    lo = float(np.min(gm[near]))
-    return WSetCheck(member=lo >= gradient_floor, min_gradient_on_zero_set=lo)

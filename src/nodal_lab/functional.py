@@ -1,6 +1,6 @@
 """The constrained variational problem: energy, subgradient, scalar
-projections, constraint membership, second-derivative form, bump rescaling
-and the porous-medium change of variables.
+projections, constraint membership, second-derivative form and bump
+rescaling.
 
 The energy is  phi(u) = 1/2 int |grad u|^2 - (1/q) int |u|^q  with exponent
 1 <= q < 2.  For q > 1 the constraint set is the zero set of the signed-mean
@@ -24,7 +24,6 @@ __all__ = [
     "ProblemSpec", "ConstraintCheck", "abs_power_integral", "energy",
     "energy_gradient", "signed_power", "t_star", "c_shift", "in_constraint",
     "max_shift_property_check", "hessian_form", "rescale_bump",
-    "to_porous_medium",
 ]
 
 
@@ -50,7 +49,9 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
     sgn(0) = 0, the subgradient selection used throughout)."""
     if p == 0.0:
         return np.sign(u)
-    return np.copysign(np.abs(u) ** p, u)
+    r = np.abs(u, dtype=float)
+    r **= p
+    return np.copysign(r, u, out=r)
 
 
 def abs_power_integral(spec: ProblemSpec, u: np.ndarray) -> float:
@@ -367,10 +368,3 @@ def rescale_bump(spec: ProblemSpec, v: np.ndarray, r: float,
         out[inside] = amp * v.reshape(nr, ntheta)[jsrc, ksrc]
     return out
 
-
-def to_porous_medium(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Change of variables v = sgn(u) |u|^{q-1} mapping the semilinear
-    problem to the stationary porous-medium form (q > 1 only)."""
-    if spec.sublinear_q1:
-        raise ValueError("q-out-of-range: the change of variables needs q > 1")
-    return signed_power(np.asarray(u, dtype=float), spec.q - 1.0)

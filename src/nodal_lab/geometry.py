@@ -457,32 +457,6 @@ def reflect(grid: Grid, u: np.ndarray, hid: int) -> np.ndarray:
     return np.flip(u, axis=hid).ravel()
 
 
-def polarize(grid: Grid, u: np.ndarray, hid: int, toward=None) -> np.ndarray:
-    """Two-point rearrangement across hyperplane hid: on the chosen halfspace
-    take max(u, u o sigma), on the complement take min.
-
-    The hyperplane normal is the unit vector e_hid on interval and rectangle
-    grids and (-sin a, cos a) with a = hid*pi/n_theta on polar grids, so a
-    node's side is the sign of its coordinate x_hid, or of sin(theta - a),
-    one value per angle column.  toward: point/direction selecting the
-    halfspace (default: positive side of the normal).  Nodes on the
-    hyperplane are fixed points of the reflection, where u == u o sigma, so
-    either branch keeps them.
-    """
-    ur = reflect(grid, u, hid).reshape(grid.shape)
-    u = _check_field(grid, u).reshape(grid.shape)
-    if grid.is_polar:
-        alpha = hid * math.pi / grid.shape[1]
-        normal = np.array([-math.sin(alpha), math.cos(alpha)])
-        side = np.sin(grid.polar["thetas"] - alpha)
-    else:
-        normal = np.eye(grid.domain.dim)[hid]
-        side = grid.coords[:, hid].reshape(grid.shape)
-    if toward is not None and float(np.dot(toward, normal)) < 0:
-        side = -side
-    return np.where(side > 0, np.maximum(u, ur), np.minimum(u, ur)).ravel()
-
-
 def angular_profiles(grid: Grid, u: np.ndarray):
     """Per-ring node values ordered by polar angle, plus ring averages.
 

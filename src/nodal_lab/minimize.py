@@ -85,8 +85,11 @@ class SolveReport:
     def to_dict(self, grid=None) -> dict:
         """JSON-ready summary: every field but the field u, plus the grid's
         dict; it holds no timing, so reruns with identical seeds serialize
-        byte-identically."""
+        byte-identically.  A run that accepts no step has no gradient norm
+        (inf), written as null."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
+        if not math.isfinite(self.grad_norm):
+            d["grad_norm"] = None
         if grid is not None:
             d.update(grid.to_dict())
         return d

@@ -583,24 +583,15 @@ class ChainReport:
     h3_below_minus_one: bool
 
 
-def h_value(t: float) -> float:
-    """h(t) = (2^{-2/t} - 1) t + 2^{-2/t} + (2/t)(1 - 2^{-2/t}).
-
-    Not monotone (it dips below its limit 1 - 2 ln 2 ~ -0.386 and comes
-    back up), but its maximum over [3, inf) is attained at t = 3, which is
-    the property the dimension chain rests on.
-    """
-    a = 2.0 ** (-2.0 / t)
-    return (a - 1.0) * t + a + (2.0 / t) * (1.0 - a)
-
-
 def check_inequality_chain(n_dim: int) -> ChainReport:
     """Numerical check of the strict gap between the nonradial upper bound
     and the least radial nodal energy for N >= 3.
 
-    Also reports h(3) = (5 * 2^(1/3) - 7)/3 ~ -0.2335 and whether it
-    satisfies N^3 h(3) + 4N - 8 < 0, which (h being decreasing) is what the
-    gap reduces to; the stricter h(3) < -1 is false and is reported as such.
+    Also reports h(3) = (5 * 2^(1/3) - 7)/3 ~ -0.2335, with
+    h(t) = (2^{-2/t} - 1) t + 2^{-2/t} + (2/t)(1 - 2^{-2/t}), and whether it
+    satisfies N^3 h(3) + 4N - 8 < 0, which (h, though not monotone, being
+    largest on [3, inf) at t = 3) is what the gap reduces to; the stricter
+    h(3) < -1 is false and is reported as such.
     """
     if n_dim < 3:
         raise ValueError("unsupported-N: the chain needs N >= 3")

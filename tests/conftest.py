@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -57,6 +59,25 @@ def reference_edges(grid):
             i, j = np.delete(i, -1, axis=a), np.delete(j, -1, axis=a)
         parts.append((i.ravel(), j.ravel(), np.broadcast_to(face / length, i.shape).ravel()))
     return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def polarize(grid, u, hid, toward=None):
+    """The two-point rearrangement across hyperplane hid: max(u, u o sigma)
+    on the halfspace that toward points into (default: the positive side of
+    the normal), min on the other, and u on the hyperplane.  The normal is
+    e_hid on interval and rectangle grids, (-sin a, cos a) with
+    a = hid pi/n_theta on polar grids; a node's side is the sign of its
+    coordinates' dot product with it."""
+    ur = geometry.reflect(grid, u, hid)
+    if grid.is_polar:
+        alpha = hid * math.pi / grid.shape[1]
+        normal = np.array([-math.sin(alpha), math.cos(alpha)])
+    else:
+        normal = np.eye(grid.domain.dim)[hid]
+    s = grid.coords @ normal
+    if toward is not None and float(np.dot(toward, normal)) < 0:
+        s = -s
+    return np.where(s > 0, np.maximum(u, ur), np.where(s < 0, np.minimum(u, ur), u))
 
 
 def polar_coords(grid):

@@ -14,7 +14,8 @@ from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
 
-from conftest import polar_coords, reference_edges, small_grids, smooth_random_field
+from conftest import (polar_coords, polarize, reference_edges, small_grids,
+                      smooth_random_field)
 
 
 def test_zero_measure_interval(interval_grid):
@@ -288,7 +289,7 @@ def test_polarization_defect_matches_polarize(case):
 
     def reference(axis):
         toward = np.array([math.cos(axis), math.sin(axis)])
-        return max(math.sqrt(np.dot(grid.weights, (geo.polarize(grid, u, h, toward) - u) ** 2))
+        return max(math.sqrt(np.dot(grid.weights, (polarize(grid, u, h, toward) - u) ** 2))
                    for h in range(grid.shape[1]))
 
     ref = reference(axis)
@@ -380,17 +381,6 @@ def test_pde_residual_converged_minimizers(disc_grid, disc_min_q1, disc_min_q15)
         assert res.flux_norm <= 1e-10
 
 
-def test_w_set_check(disc_grid):
-    chk = dg.w_set_check(disc_grid, disc_grid.x1, delta=0.02)
-    assert chk.member
-    assert chk.min_gradient_on_zero_set == pytest.approx(1.0, abs=0.05)
-    u = disc_grid.x1 ** 2 - 0.25
-    chk = dg.w_set_check(disc_grid, u, delta=0.02)
-    assert chk.member and chk.min_gradient_on_zero_set >= 0.5
-    chk = dg.w_set_check(disc_grid, np.zeros(disc_grid.n_nodes))
-    assert not chk.member
-
-
 def test_quantization_floor(disc_grid):
     assert dg.quantization_floor(disc_grid, np.ones(disc_grid.n_nodes)) == 0.0
     floor = dg.quantization_floor(disc_grid, disc_grid.x1)
@@ -402,7 +392,7 @@ def test_polarization_consistency_on_fs_field(disc_grid):
     r, th = polar_coords(disc_grid)
     u = np.maximum(1 - r, 0) * np.cos(th)
     for hid in range(0, disc_grid.shape[1], 8):
-        uh = geo.polarize(disc_grid, u, hid, toward=(1.0, 0.0))
+        uh = polarize(disc_grid, u, hid, toward=(1.0, 0.0))
         assert geo.dirichlet_energy(disc_grid, uh) == pytest.approx(
             geo.dirichlet_energy(disc_grid, u), abs=1e-12)
     rep = dg.foliated_schwarz_check(disc_grid, u)

@@ -154,23 +154,6 @@ def _reference_perm(grid, hid):
     return jj * ntheta + (hid - kk) % ntheta
 
 
-def _reference_polarize(grid, u, hid, toward):
-    """Two-point rearrangement with the side and orientation chosen per kind."""
-    ur = u[_reference_perm(grid, hid)]
-    if grid.kind == "interval":
-        s, sign = grid.coords[:, 0], None if toward is None else toward[0]
-    elif grid.kind == "rectangle":
-        s, sign = grid.coords[:, hid], None if toward is None else toward[hid]
-    else:
-        alpha = hid * math.pi / grid.resolution["ntheta"]
-        normal = np.array([-math.sin(alpha), math.cos(alpha)])
-        s = grid.coords @ normal
-        sign = None if toward is None else float(np.dot(toward, normal))
-    if sign is not None and sign < 0:
-        s = -s
-    return np.where(s > 0, np.maximum(u, ur), np.where(s < 0, np.minimum(u, ur), u))
-
-
 def _reference_monotonicity(grid, u, axis):
     """Angular monotonicity violation computed ring by ring."""
     profiles = u.reshape(grid.resolution["nr"], grid.resolution["ntheta"])
@@ -191,9 +174,8 @@ def _reference_monotonicity(grid, u, axis):
 
 @st.composite
 def reflection_cases(draw):
-    """A small grid of any kind, one of its hyperplanes, a field (normal
-    values, or values rounded to a few levels so that ties occur) and an
-    optional orientation."""
+    """A small grid of any kind, one of its hyperplanes and a field (normal
+    values, or values rounded to a few levels so that ties occur)."""
     grid = draw(small_grids())
     n_hyper = grid.shape[1] if grid.is_polar else len(grid.shape)
     hid = draw(st.integers(0, n_hyper - 1))
@@ -201,15 +183,13 @@ def reflection_cases(draw):
     u = rng.standard_normal(grid.n_nodes)
     if draw(st.booleans()):
         u = np.round(u)
-    dim = grid.domain.dim
-    toward = draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * dim))
-    return grid, hid, u, toward
+    return grid, hid, u
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=reflection_cases(), axis=st.floats(-math.pi, math.pi))
 def test_reflections_match_index_arithmetic(case, axis):
-    grid, hid, u, toward = case
+    grid, hid, u = case
     n = grid.n_nodes
     perm = geo.reflect(grid, np.arange(n), hid).astype(int)
     assert np.array_equal(np.sort(perm), np.arange(n))
@@ -218,8 +198,6 @@ def test_reflections_match_index_arithmetic(case, axis):
     assert np.array_equal(grid.weights[perm], grid.weights)
     assert geo.dirichlet_energy(grid, u[perm]) == pytest.approx(
         geo.dirichlet_energy(grid, u), rel=1e-12)
-    assert np.array_equal(geo.polarize(grid, u, hid, toward=toward),
-                          _reference_polarize(grid, u, hid, toward))
     if grid.is_polar:
         assert (dg._angular_monotonicity_violation(grid, u, axis)
                 == _reference_monotonicity(grid, u, axis))
@@ -265,7 +243,7 @@ def _edge_count(grid):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=reflection_cases(), seed=st.integers(0, 2**32 - 1))
 def test_edges_join_index_neighbours(case, seed):
-    grid, _, u, _ = case
+    grid, _, u = case
     n_edges = _edge_count(grid)
     i, j, t = reference_edges(grid)
     assert i.shape == j.shape == t.shape == (n_edges,)
@@ -291,7 +269,7 @@ def test_edges_join_index_neighbours(case, seed):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=reflection_cases())
 def test_gradient_magnitude_matches_edge_loop(case):
-    grid, _, u, _ = case
+    grid, _, u = case
     assert np.array_equal(geo.gradient_magnitude(grid, u),
                           _reference_gradient_magnitude(grid, u))
 

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -172,6 +173,27 @@ def test_backtracking_stops_at_roundoff(monkeypatch):
     assert rep.stop_reason == "no-descent-step"
     assert len(calls) <= 20
     assert rep.energy == pytest.approx(-1.715265757144390e-02, rel=1e-14)
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_restart_from_minimizer_serializes_as_strict_json():
+    # restarted from a converged field, the run accepts no step and has no
+    # gradient norm (inf); its summary must still be strict JSON
+    grid = geo.build_grid(geo.DomainSpec.disc(1.0), (32, 64))
+    spec = fn.ProblemSpec(grid, 1.0)
+    cfg = mz.SolveConfig(seed=0, starts=2)
+    best = mz.multistart(spec, cfg)
+    assert best.converged
+    rep = mz.minimize_energy(spec, cfg, u0=best.u)
+    assert (rep.stop_reason, rep.iterations, rep.converged) == ("no-descent-step", 1, True)
+    assert rep.grad_norm == math.inf
+    d = json.loads(json.dumps(rep.to_dict(grid), allow_nan=False),
+                   parse_constant=_reject_non_finite)
+    assert d["grad_norm"] is None
+    assert d["energy"] == rep.energy
 
 
 def test_minimizer_changes_sign(interval_min_q1, interval_grid):

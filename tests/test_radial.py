@@ -366,11 +366,18 @@ def test_inequality_chain():
         rad.check_inequality_chain(2)
 
 
+def _h_value(t):
+    """h(t) = (2^{-2/t} - 1) t + 2^{-2/t} + (2/t)(1 - 2^{-2/t})."""
+    a = 2.0 ** (-2.0 / t)
+    return (a - 1.0) * t + a + (2.0 / t) * (1.0 - a)
+
+
 def test_h_function_maximized_at_three():
-    # h is not monotone, but its sup over [3, inf) sits at t = 3: it dips
-    # and then climbs back only to the limit 1 - 2 ln 2 ~ -0.386 < h(3)
+    # h is not monotone, but its sup over [3, inf) sits at t = 3, which the
+    # dimension chain rests on: it dips and then climbs back only to the
+    # limit 1 - 2 ln 2 ~ -0.386 < h(3)
     ts = np.linspace(3.0, 400.0, 2000)
-    hv = np.array([rad.h_value(t) for t in ts])
+    hv = np.array([_h_value(t) for t in ts])
     h3 = (5.0 * 2.0 ** (1.0 / 3.0) - 7.0) / 3.0
     assert hv[0] == pytest.approx(h3, abs=1e-14)
     assert np.max(hv) == hv[0]
