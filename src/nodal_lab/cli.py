@@ -43,7 +43,6 @@ class RunConfig:
     starts: int = 8
     max_iter: int = 20000
     grad_tol: float = 1e-6
-    energy_tol: float = 1e-11
     out: str = "out"
 
     def to_dict(self) -> dict:
@@ -241,11 +240,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unreadable dump: {exc!r}") from exc
     # the dump must be the field its report describes: its energy, at the
     # report's q, to roundoff in the two terms (not in their difference,
-    # which cancels as q -> 2)
-    energy = functional.energy(spec, u)
-    scale = (0.5 * geometry.dirichlet_energy(grid, u)
-             + functional.abs_power_integral(spec, u) / spec.q)
-    if not abs(energy - claimed) <= 1e-12 * scale:
+    # which cancels as q -> 2), each integral taken once
+    dirichlet = 0.5 * geometry.dirichlet_energy(grid, u)
+    bulk = functional.abs_power_integral(spec, u) / spec.q
+    energy = dirichlet - bulk
+    if not abs(energy - claimed) <= 1e-12 * (dirichlet + bulk):
         raise ValueError(f"field dump {field_path} has energy {energy:.9e}, "
                          f"its report {claimed:.9e}")
     q = args.q if args.q is not None else spec.q
@@ -305,7 +304,6 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
-    p.add_argument("--energy-tol", dest="energy_tol", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with RunConfig values")

@@ -193,8 +193,7 @@ def _polarization_defect(grid: Grid, u: np.ndarray, toward: np.ndarray) -> float
 
 def foliated_schwarz_check(grid: Grid, u: np.ndarray,
                            monotonicity_tol: float = 5e-3,
-                           polarization_tol: float = 5e-3,
-                           radial_tol: float = 1e-10) -> SymmetryReport:
+                           polarization_tol: float = 5e-3) -> SymmetryReport:
     """Axial symmetry check: estimate the symmetry axis from the first
     angular Fourier mode (falling back to the location of the maximum when
     that mode is below the noise floor), then require (a) every ring profile
@@ -209,13 +208,13 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
     one subtraction per pair, nr n_theta^2 / 2 in all, and no rearranged
     field per hyperplane (see _polarization_defect).
 
-    Ring-constant fields pass trivially with no axis.
+    Fields of radiality deviation <= 1e-10 pass trivially, with no axis.
     """
     if not grid.is_polar:
         raise ValueError("wrong-domain-kind: the symmetry check needs a polar grid")
     u = np.asarray(u, dtype=float)
     dev = radiality_deviation(grid, u)
-    if dev <= radial_tol:
+    if dev <= 1e-10:
         return SymmetryReport(axis_angle=None, axis_method="radial",
                               monotonicity_violation=0.0,
                               polarization_defect=0.0,
@@ -253,21 +252,20 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
 @dataclass
 class PdeResidual:
     interior_norm: float      # weighted norm of L_h u - |u|^{q-2} u off the zero band
-    bracket_violation: float  # q = 1 only: measure of nodes with |L_h u| > 1 + tol
+    bracket_violation: float  # q = 1 only: measure of nodes with |L_h u| > 1.05
     flux_norm: float          # total discrete flux (vanishes by the natural BC)
     quantization_floor: float  # the zero band's half-width
 
 
-def pde_residual(grid: Grid, u: np.ndarray, q: float,
-                 bracket_tol: float = 0.05) -> PdeResidual:
+def pde_residual(grid: Grid, u: np.ndarray, q: float) -> PdeResidual:
     """Strong-form defect of the discrete equation on resolvable nodes.
 
     interior_norm is the quadrature norm of L_h u - |u|^{q-2} u over nodes
     with |u_i| above the quantization floor; bracket_violation (q = 1) is
-    the weighted measure of nodes where |L_h u| exceeds 1 + bracket_tol,
-    which no admissible selection of the set-valued sign allows; flux_norm
-    is the total flux imbalance, identically zero for the assembled form up
-    to roundoff.
+    the weighted measure of nodes where |L_h u| exceeds 1 by more than
+    0.05, which no admissible selection of the set-valued sign allows;
+    flux_norm is the total flux imbalance, identically zero for the
+    assembled form up to roundoff.
     """
     u = np.asarray(u, dtype=float)
     lap = geometry.laplacian(grid, u)
@@ -276,7 +274,7 @@ def pde_residual(grid: Grid, u: np.ndarray, q: float,
     res = lap - functional.signed_power(u, q - 1.0)
     interior = float(np.sqrt(np.sum(grid.weights[keep] * res[keep] ** 2)))
     if q == 1.0:
-        viol = float(np.sum(grid.weights[np.abs(lap) > 1.0 + bracket_tol]))
+        viol = float(np.sum(grid.weights[np.abs(lap) > 1.05]))
     else:
         viol = 0.0
     flux = abs(float(np.dot(grid.weights, lap)))

@@ -24,7 +24,8 @@ s'(K + W)s / s'(g_k - g_{k-1}) with s the last step and g the raw gradient,
 and are accepted through Armijo backtracking on the true (nonsmooth for
 q = 1) energy values, so the accepted energy trace is monotone by
 construction.  Backtracking ends, with stop reason "no-descent-step", once
-the predicted decrease eta * <dphi, d> is at roundoff of |phi|.
+the predicted decrease eta * <dphi, d> is at roundoff of |phi|; the other
+stops are "grad-tol", "zero-gradient" and max_iter (see minimize_energy).
 """
 
 from __future__ import annotations
@@ -53,15 +54,14 @@ class SolveConfig:
 
     max_iter: int = 20000
     grad_tol: float = 1e-6             # projected-gradient norm threshold
-    energy_tol: float = 1e-11          # stall threshold over 10 iterations
     seed: int = 0
     starts: int = 8                    # multistart count (dipole always included)
 
     def __post_init__(self):
         if self.max_iter < 1 or self.starts < 1:
             raise ValueError("invalid solve config: counts must be >= 1")
-        if not all(math.isfinite(t) and t > 0 for t in (self.grad_tol, self.energy_tol)):
-            raise ValueError("invalid solve config: tolerances must be finite and > 0")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("invalid solve config: grad_tol must be finite and > 0")
 
 
 @dataclass
@@ -202,10 +202,11 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     Iterates u_{k+1} = project(u_k - eta_k d_k) with d_k the H1 energy
     gradient and eta_k from Armijo backtracking:
     phi(u_{k+1}) <= phi(u_k) - 1e-4 * eta_k * |dphi(u_k)|^2.  Stops when
-    the projected-gradient norm (quadrature-weighted) drops below grad_tol,
-    when the energy decrease over 10 iterations falls below energy_tol,
-    when no step passes Armijo before eta_k |dphi(u_k)|^2 <= 4 eps |phi|
-    ("no-descent-step"), or at max_iter (reported with a flag).  Starts
+    the projected-gradient norm (quadrature-weighted) drops below grad_tol
+    ("grad-tol"), when the slope <dphi, d> is not positive and finite
+    ("zero-gradient"), when no step passes Armijo before
+    eta_k |dphi(u_k)|^2 <= 4 eps |phi| ("no-descent-step"), or at max_iter
+    ("max-iterations-exceeded", the one stop not flagged converged).  Starts
     from u0, or from the dipole x1 when u0 is None; constant starts are
     re-seeded from the configured rng.
     """
@@ -277,9 +278,6 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         trace.append(phi)
         if grad_norm <= config.grad_tol:
             converged, reason = True, "grad-tol"
-            break
-        if len(trace) > 10 and trace[-11] - trace[-1] <= config.energy_tol:
-            converged, reason = True, "energy-stall"
             break
 
     check = functional.in_constraint(spec, u)

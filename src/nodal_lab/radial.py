@@ -111,22 +111,22 @@ def _closed_form_funcs(n_dim: int):
     return u, du, a
 
 
-def closed_form_q1(n_dim: int, r=None, n_samples: int = 8192) -> RadialProfile:
+def closed_form_q1(n_dim: int, r=None) -> RadialProfile:
     """Exact two-nodal-domain radial solution for q = 1.
 
     With no explicit sample points, the grid is built so that the interface
-    radius is a sample with equal spacing on both sides (centered residual
-    stencils then see the curvature jump symmetrically), plus a tail node at
-    the inner cutoff where the solution is exactly quadratic.
+    radius a is a sample with spacing (1 - a)/8192 on both sides (centered
+    residual stencils then see the curvature jump symmetrically), plus a
+    tail node at the inner cutoff where the solution is exactly quadratic.
     """
     if n_dim < 2:
         raise ValueError("unsupported-N: need N >= 2")
     u_fn, du_fn, a = _closed_form_funcs(n_dim)
     if r is None:
-        h = (1.0 - a) / n_samples
+        h = (1.0 - a) / 8192
         k_in = int(math.floor((a - _R_START) / h))
         left = a - h * np.arange(k_in, 0, -1)
-        right = a + h * np.arange(0, n_samples + 1)
+        right = a + h * np.arange(0, 8193)
         right[-1] = 1.0
         if left[0] - _R_START >= 0.25 * h:
             r = np.concatenate([[_R_START], left, right])
@@ -522,11 +522,11 @@ def liouville_transform(profile: RadialProfile) -> LiouvilleProfile:
                             dy=dy[order], p=pt[order])
 
 
-def liouville_residual(lp: LiouvilleProfile, zero_floor: float = 1e-12) -> float:
+def liouville_residual(lp: LiouvilleProfile) -> float:
     """Max interior defect of y'' + p(t)|y|^{q-2} y on the transformed grid,
     with y'' from the transformed derivative samples, by _max_defect as
     radial_residual."""
-    return _max_defect(lp.y, _centered_diff(lp.t, lp.dy), lp.p[1:-1], lp.q, zero_floor)
+    return _max_defect(lp.y, _centered_diff(lp.t, lp.dy), lp.p[1:-1], lp.q, 1e-12)
 
 
 # -- energies and bounds -------------------------------------------------------
@@ -543,12 +543,12 @@ def profile_energy(p: RadialProfile) -> float:
     return 0.5 * grad2 - bulk
 
 
-def m_radial(n_dim: int, q: float, tol: float = 1e-9) -> float:
+def m_radial(n_dim: int, q: float) -> float:
     """Least radial nodal energy on the unit ball.
 
     q = 1 evaluates the closed form: -pi(-1/16 + ln(2)/8) for N = 2 and
     -(omega_N/2)((2^{-2/N}-1)N + 2^{1-2/N})/((N-2)(N+2)) for N >= 3.
-    q > 1 integrates the energy of the shot two-domain profile.
+    q > 1 integrates the energy of the profile shot to |u'(1)| <= 1e-9.
     """
     _check_problem(q, n_dim)
     if q == 1.0:
@@ -557,7 +557,7 @@ def m_radial(n_dim: int, q: float, tol: float = 1e-9) -> float:
         nn = float(n_dim)
         num = (2.0 ** (-2.0 / nn) - 1.0) * nn + 2.0 ** (1.0 - 2.0 / nn)
         return -0.5 * unit_ball_volume(n_dim) * num / ((nn - 2.0) * (nn + 2.0))
-    return profile_energy(shoot_neumann(q, n_dim, tol=tol))
+    return profile_energy(shoot_neumann(q, n_dim, tol=1e-9))
 
 
 def test_function_bound(n_dim: int, s: float) -> float:
@@ -603,14 +603,14 @@ def check_inequality_chain(n_dim: int) -> ChainReport:
                        h3_below_minus_one=H3 < -1.0)
 
 
-def h_energy_monotone(p: RadialProfile, slack: float = 1e-8) -> dict:
-    """Check that h(r) = u'(r)^2/2 + |u(r)| never increases along a q = 1
-    profile; returns the monotonicity verdict and the largest increase."""
+def h_energy_monotone(p: RadialProfile) -> dict:
+    """Check that h(r) = u'(r)^2/2 + |u(r)| never increases, up to 1e-8,
+    along a q = 1 profile; returns the verdict and the largest increase."""
     if p.q != 1.0:
         raise ValueError(f"wrong-q: the decay invariant needs q = 1, got {p.q}")
     h = 0.5 * p.du * p.du + np.abs(p.u)
     inc = float(np.max(np.diff(h))) if h.size > 1 else 0.0
-    return {"monotone": bool(inc <= slack), "max_increase": max(inc, 0.0)}
+    return {"monotone": bool(inc <= 1e-8), "max_increase": max(inc, 0.0)}
 
 
 def write_profile_csv(p: RadialProfile, path) -> None:

@@ -39,6 +39,20 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"qq": 3})
 
 
+def test_run_config_defaults_are_the_solvers():
+    # cli keeps its own copy of the solver defaults, so that loading it
+    # does not import minimize
+    assert RunConfig().solve_config() == SolveConfig()
+
+
+def test_config_with_removed_stall_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"domain": "interval", "energy_tol": 1e-11}')
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "unknown config key: 'energy_tol'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_domain_spec_defaults():
     assert RunConfig(domain="interval").domain_spec() == geo.DomainSpec.interval(1.0)
     assert RunConfig(domain="rectangle").domain_spec() == geo.DomainSpec.rectangle(1.0, 1.0)
@@ -55,6 +69,7 @@ def test_domain_spec_defaults():
     ["radial"],                                             # missing --N
     ["radial", "--N", "x"],                                 # malformed --N
     ["verify", "report.json", "--max-interior", "1"],       # removed threshold flag
+    ["solve", "--energy-tol", "1e-9"],                      # removed stall stop
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1
@@ -172,7 +187,7 @@ def test_solve_output_schema(tmp_path):
         "energy", "energy_trace", "field_csv", "grad_norm", "iterations",
         "near_best", "q", "recipe", "resolution", "seed", "stop_reason", "version"}
     assert set(report["config"]) == {
-        "domain", "energy_tol", "grad_tol", "half_length", "max_iter", "n", "nr",
+        "domain", "grad_tol", "half_length", "max_iter", "n", "nr",
         "ntheta", "q", "radii", "radius", "seed", "sides", "starts"}
     assert {k for row in report["near_best"] for k in row} == {
         "energy", "recipe", "seed", "start"}
