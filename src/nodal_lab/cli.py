@@ -247,9 +247,8 @@ def cmd_verify(args) -> int:
     if not abs(energy - claimed) <= 1e-12 * (dirichlet + bulk):
         raise ValueError(f"field dump {field_path} has energy {energy:.9e}, "
                          f"its report {claimed:.9e}")
-    q = args.q if args.q is not None else spec.q
-    res = diagnostics.pde_residual(grid, u, q)
-    check = functional.in_constraint(functional.ProblemSpec(grid, q), u)
+    res = diagnostics.pde_residual(grid, u, spec.q)
+    check = functional.in_constraint(spec, u)
     print(f"interior_norm={res.interior_norm:.3e} "
           f"bracket_violation={res.bracket_violation:.3e} "
           f"flux_norm={res.flux_norm:.3e} "
@@ -331,7 +330,6 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="re-run diagnostics on a stored field")
     p_ver.add_argument("report", type=str, help="path to a solve report JSON")
-    p_ver.add_argument("--q", type=float, default=None)
 
     p_swp = sub.add_parser("sweep", help="exponent continuation study")
     p_swp.add_argument("--q-list", type=str, required=True,
@@ -351,6 +349,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:         # a numerical failure, e.g. of shooting
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:      # e.g. a float overflow in the ray scaling
+        print(f"error: {exc!r}", file=sys.stderr)
         return 2
 
 

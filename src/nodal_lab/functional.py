@@ -55,9 +55,9 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def abs_power_integral(spec: ProblemSpec, u: np.ndarray) -> float:
-    """integrate(|u|^q), with |u| itself at q = 1."""
-    return geometry.integrate(spec.grid, np.abs(u) if spec.sublinear_q1
-                              else np.abs(u) ** spec.q)
+    """integrate(|u|^q), exactly integrate(|u|) at q = 1 (x ** 1.0 is x)."""
+    r = np.abs(u, dtype=float)
+    return geometry.integrate(spec.grid, np.power(r, spec.q, out=r))
 
 
 def energy(spec: ProblemSpec, u: np.ndarray) -> float:
@@ -81,7 +81,7 @@ def t_star(spec: ProblemSpec, u: np.ndarray) -> float:
     g = spec.grid
     d = geometry.dirichlet_energy(g, u)
     if d <= 0.0:
-        raise ValueError("zero-gradient-field: t* needs dirichlet_energy(u) > 0")
+        raise ValueError("constant-field: t* needs dirichlet_energy(u) > 0")
     return (abs_power_integral(spec, u) / d) ** (1.0 / (2.0 - spec.q))
 
 
@@ -91,18 +91,13 @@ def _signed_mean(grid: Grid, u: np.ndarray, q: float, c: float) -> float:
     return float(np.dot(grid.weights, signed_power(u + c, q - 1.0)))
 
 
-def _weighted_median_shift(grid: Grid, u: np.ndarray, bracket=None) -> float:
-    """Negative weighted median of u; on a discrete median interval the
-    midpoint is returned, and the result is verified against the exact
-    sign-balance membership test (falling back to the atom median when the
-    apparent tie is a rounding artifact).
-
-    bracket: an interval (lo, hi) said to hold the result.  Only the nodes
-    with -hi <= u <= -lo and the nearest node on each side are then sorted,
-    the weight below them starting the cumulative sum.  Unless the half
-    mass falls strictly inside them, tie tolerance included, or when no
-    candidate passes the membership test, all of u is sorted instead.
-    Without a bracket, a field with a non-finite node raises ValueError.
+def _weighted_median_shift(grid: Grid, u: np.ndarray, lo: float, hi: float) -> float | None:
+    """Negative weighted median of u in [lo, hi]; on a discrete median
+    interval the midpoint is returned.  Only the nodes with -hi <= u <= -lo
+    and the nearest node on each side are sorted (all of u for
+    [-max u, -min u]), the weight below them starting the cumulative sum.
+    None unless the half mass falls strictly inside them, tie tolerance
+    included, and a candidate passes the exact sign-balance test.
     """
     w = grid.weights
     total = float(np.sum(w))
@@ -110,20 +105,15 @@ def _weighted_median_shift(grid: Grid, u: np.ndarray, bracket=None) -> float:
     # tie tolerance: covers cumsum rounding; false positives are filtered by
     # the membership check below, which uses far more accurate pairwise sums
     tie = (4.0 * len(u) * np.finfo(float).eps + 1e-13) * total
-    if bracket is None:
-        order, below = np.argsort(u, kind="stable"), 0.0
-    else:
-        a = np.max(u, where=u < -bracket[1], initial=-np.inf)
-        b = np.min(u, where=u > -bracket[0], initial=np.inf)
-        near = np.flatnonzero((u >= a) & (u <= b))
-        order = near[np.argsort(u[near], kind="stable")]
-        below = float(np.sum(w, where=u < a))
+    a = np.max(u, where=u < -hi, initial=-np.inf)
+    b = np.min(u, where=u > -lo, initial=np.inf)
+    near = np.flatnonzero((u >= a) & (u <= b))
+    order = near[np.argsort(u[near], kind="stable")]
+    below = float(np.sum(w, where=u < a))
     vals = u[order]
-    if bracket is None and not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):
-        raise ValueError("non-finite field: c_shift needs finite node values")
     cum = np.cumsum(np.concatenate(([below], w[order])))[1:]
-    if bracket is not None and not (below < half - tie and cum[-1] > half + tie):
-        return _weighted_median_shift(grid, u)
+    if not (below < half - tie and cum[-1] > half + tie):
+        return None
     k = int(np.searchsorted(cum, half))
     # a tie at k - 1 is a cum[k - 1] that rounding left just below half
     candidates = [0.5 * (vals[j] + vals[j + 1]) for j in (k - 1, k)
@@ -132,13 +122,7 @@ def _weighted_median_shift(grid: Grid, u: np.ndarray, bracket=None) -> float:
     for m in candidates:
         if _sign_balance(grid, u - m)[0]:
             return -float(m)
-    if bracket is not None:
-        return _weighted_median_shift(grid, u)
-    # adjacent atoms guard against an off-by-one from inexact cumsum
-    for kk in (k - 1, k + 1):
-        if 0 <= kk < len(vals) and _sign_balance(grid, u - vals[kk])[0]:
-            return -float(vals[kk])
-    return -float(vals[min(k, len(vals) - 1)])
+    return None
 
 
 def _sign_balance(grid: Grid, v: np.ndarray) -> tuple[bool, float]:
@@ -172,14 +156,14 @@ def c_shift(spec: ProblemSpec, u: np.ndarray,
     adjacent doubles, the evaluated end with the smaller residual (lo if
     neither was) is, with a RuntimeWarning if that residual is above
     1e-10 max(|Omega|, int |u+c|^{q-1}).
-    q = 1: negative weighted median, median-interval midpoints resolved as
-    in _weighted_median_shift, which sorts only the nodes `bracket` leaves
-    as candidates when they hold the half mass; `guess` is not used.
+    q = 1: negative weighted median, found and verified as in
+    _weighted_median_shift; a RuntimeError if no candidate from all of u
+    passes.  `guess` is not used.
 
     bracket: an interval (lo, hi) proven to hold c, such as
     [eta min d, eta max d] for u = v - eta d with v feasible.  One on which
-    F keeps one sign leaves an end unevaluated, and the result is then
-    taken without it.
+    F keeps one sign leaves an end unevaluated, and one that misses the
+    median leaves it unverified; the result is then taken without it.
     guess: a first estimate of c, such as the first-order shift eta mu of
     such a trial (see minimize.minimize_energy).
     Without a bracket, a field with a non-finite node raises ValueError.
@@ -187,14 +171,17 @@ def c_shift(spec: ProblemSpec, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     g = spec.grid
     q = spec.q
-    if spec.sublinear_q1:
-        return _weighted_median_shift(g, u, bracket)
     if bracket is None:
         lo, hi = -float(np.max(u)), -float(np.min(u))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("non-finite field: c_shift needs finite node values")
     else:
         lo, hi = bracket
+    if spec.sublinear_q1:
+        c = _weighted_median_shift(g, u, lo, hi)
+        if c is None and bracket is None:
+            raise RuntimeError("unbalanced-median: no candidate passes the sign balance")
+        return c if c is not None else c_shift(spec, u)   # the bracket missed
     # stop once the residual sits three decades under the warning tolerance
     early = 1e-13 * g.domain.measure
     # c is the next point and last the one evaluated before; while there

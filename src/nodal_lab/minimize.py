@@ -24,8 +24,8 @@ s'(K + W)s / s'(g_k - g_{k-1}) with s the last step and g the raw gradient,
 and are accepted through Armijo backtracking on the true (nonsmooth for
 q = 1) energy values, so the accepted energy trace is monotone by
 construction.  Backtracking ends, with stop reason "no-descent-step", once
-the predicted decrease eta * <dphi, d> is at roundoff of |phi|; the other
-stops are "grad-tol", "zero-gradient" and max_iter (see minimize_energy).
+the predicted decrease eta * <dphi, d> is at roundoff of |phi| (at once
+if <dphi, d> is not positive); the other stops are "grad-tol" and max_iter.
 """
 
 from __future__ import annotations
@@ -203,12 +203,12 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     gradient and eta_k from Armijo backtracking:
     phi(u_{k+1}) <= phi(u_k) - 1e-4 * eta_k * |dphi(u_k)|^2.  Stops when
     the projected-gradient norm (quadrature-weighted) drops below grad_tol
-    ("grad-tol"), when the slope <dphi, d> is not positive and finite
-    ("zero-gradient"), when no step passes Armijo before
+    ("grad-tol"), when no step passes Armijo before
     eta_k |dphi(u_k)|^2 <= 4 eps |phi| ("no-descent-step"), or at max_iter
     ("max-iterations-exceeded", the one stop not flagged converged).  Starts
     from u0, or from the dipole x1 when u0 is None; constant starts are
-    re-seeded from the configured rng.
+    re-seeded from the configured rng, so a projected start whose energy is
+    0 has underflowed: it raises RuntimeError, as does a non-finite one.
     """
     g = spec.grid
     u = g.x1.copy() if u0 is None else np.asarray(u0, dtype=float)
@@ -216,6 +216,8 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         # degenerate start: re-seed randomly
         u = _smooth_noise(spec, np.random.default_rng(config.seed))
     u, phi = project(spec, u)
+    if not -math.inf < phi < 0.0:
+        raise RuntimeError(f"scale-out-of-range: projected start energy {phi!r}")
     trace = [phi]
     eta = _STEP0
     eta_cap = 1e6 * _STEP0
@@ -231,10 +233,6 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     while it < config.max_iter:
         it += 1
         euclid, d, slope, dd, p = _descent_direction(spec, u)
-        if slope <= 0.0 or not np.isfinite(slope):
-            converged, reason = True, "zero-gradient"
-            grad_norm = 0.0
-            break
         # spectral (Barzilai-Borwein) trial step in the H1 metric of d:
         # eta = s'(K + W)s / s'(g_k - g_{k-1}) with s = u_k - u_{k-1} and g
         # the raw gradient, safeguarded by the Armijo loop below so the
@@ -257,7 +255,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         dmin, dmax = float(np.min(d)), float(np.max(d))
         accepted = False
         # halve until Armijo holds or the predicted decrease is at roundoff;
-        # no absolute floor: phi = 0 only at the zero field, where slope = 0
+        # no absolute floor: phi < 0; a slope not positive and finite stops it
         while eta * slope > _ROUNDOFF * abs(phi):
             dv = _dirichlet_along(coef, 1.0, eta)
             trial, phi_t = project(spec, u - eta * d, (eta * dmin, eta * dmax),

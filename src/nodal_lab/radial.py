@@ -536,10 +536,7 @@ def profile_energy(p: RadialProfile) -> float:
     quadrature with the surface measure omega_N N r^{N-1} dr."""
     meas = unit_ball_volume(p.n_dim) * p.n_dim * p.r ** (p.n_dim - 1)
     grad2 = float(np.trapezoid(p.du * p.du * meas, p.r))
-    if p.q == 1.0:
-        bulk = float(np.trapezoid(np.abs(p.u) * meas, p.r))
-    else:
-        bulk = float(np.trapezoid(np.abs(p.u) ** p.q * meas, p.r)) / p.q
+    bulk = float(np.trapezoid(np.abs(p.u) ** p.q * meas, p.r)) / p.q
     return 0.5 * grad2 - bulk
 
 

@@ -139,8 +139,8 @@ def test_solve_interval_and_verify(tmp_path, capsys):
     assert (out / "zero_curve.csv").exists()
 
     assert run(["verify", out / "report.json"]) == 0
-    # mismatched exponent must fail the residual thresholds
-    assert run(["verify", out / "report.json", "--q", 1.5]) == 2
+    # verify takes its exponent from the report: --q is an unknown flag
+    assert run(["verify", out / "report.json", "--q", 1.5]) == 1
     # unreadable dump
     assert run(["verify", tmp_path / "missing.json"]) == 1
 
@@ -285,6 +285,20 @@ def test_radial_command_invalid_inputs(tmp_path):
 def test_radial_shooting_failure_exits_two(tmp_path, capsys):
     assert run(["radial", "--N", 16, "--q", 1.99, "--out", tmp_path]) == 2
     assert "no-sign-change-in-bracket" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the projected start's energy underflows to -0.0 (field max 2.8e-248)
+    ["--domain", "interval", "--L", 0.01, "--q", 1.99, "--n", 64],
+    # the ray minimizer's scale overflows
+    ["--domain", "disc", "--R", 100, "--q", 1.99, "--nr", 16, "--ntheta", 32],
+])
+def test_start_out_of_scale_exits_two(tmp_path, argv):
+    res = run_child("-m", "nodal_lab.cli", "solve", *argv, "--starts", 1,
+                    "--out", tmp_path / "o")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
 
 
 def test_radial_command_q15(tmp_path):

@@ -366,6 +366,8 @@ def test_c_shift_from_a_proven_bracket(grid, q, kinds, seed, eta):
     c = fn.c_shift(spec, v, bracket=(eta * np.min(d), eta * np.max(d)))
     if q == 1.0:
         assert c == plain
+        # the whole range sorts all of v, as the plain call does
+        assert fn.c_shift(spec, v, bracket=(-np.max(v), -np.min(v))) == plain
     else:
         def residual(x):
             return abs(fn._signed_mean(grid, v, q, x))
@@ -487,6 +489,16 @@ def test_c_shift_mean_evaluations(monkeypatch):
     assert means["unguessed"] <= 9.0, means
     assert means["bracketed"] <= 8.5, means
     assert means["guessed"] <= 7.8, means
+
+
+@pytest.mark.parametrize("bracket", [None, (-0.5, 0.5)])
+def test_unbalanced_median_raises(disc_grid, monkeypatch, bracket):
+    # a median that no candidate verifies is a numerical failure, not a
+    # shift returned unchecked
+    monkeypatch.setattr(fn, "_sign_balance", lambda grid, v: (False, 1.0))
+    spec = fn.ProblemSpec(disc_grid, 1.0)
+    with pytest.raises(RuntimeError, match="unbalanced-median"):
+        fn.c_shift(spec, disc_grid.x1, bracket=bracket)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5])

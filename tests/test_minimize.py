@@ -176,6 +176,15 @@ def test_backtracking_stops_at_roundoff(monkeypatch):
     assert rep.energy == pytest.approx(-1.715265757144390e-02, rel=1e-14)
 
 
+def test_underflowing_start_raises():
+    # on a short interval at q near 2 the projected start's energy
+    # underflows to 0; the run must not report it as a converged minimum
+    grid = geo.build_grid(geo.DomainSpec.interval(0.01), 64)
+    spec = fn.ProblemSpec(grid, 1.99)
+    with pytest.raises(RuntimeError, match="scale-out-of-range"):
+        mz.minimize_energy(spec, mz.SolveConfig(starts=1))
+
+
 def _reject_non_finite(name):
     raise ValueError(f"non-finite JSON number {name}")
 
