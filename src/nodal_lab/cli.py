@@ -203,21 +203,12 @@ def cmd_bounds(args) -> int:
     rows = []
     all_hold = True
     for n_dim in range(n_lo, n_hi + 1):
-        if n_dim == 2:
-            upper = radial.test_function_bound(2, 0.0)
-            m_r = radial.m_radial(2, 1.0)
-            holds = upper < m_r
-            h3 = radial.H3
-            cubic_ok = None
-        else:
-            rep = radial.check_inequality_chain(n_dim)
-            upper, m_r, holds = rep.upper, rep.m_r, rep.holds
-            h3, cubic_ok = rep.h3, rep.h3_cubic_ok
-        all_hold &= holds
-        rows.append({"N": n_dim, "upper_bound": upper, "m_r": m_r,
-                     "holds": holds, "h3": h3, "h3_cubic_ok": cubic_ok})
-        print(f"N={n_dim}: upper={upper:.7f}  m_r={m_r:.7f}  "
-              f"holds={holds}  h3={h3:.6f}")
+        rep = radial.check_inequality_chain(n_dim)
+        all_hold &= rep.holds
+        rows.append({"N": n_dim, "upper_bound": rep.upper, "m_r": rep.m_r,
+                     "holds": rep.holds, "h3": rep.h3, "h3_cubic_ok": rep.h3_cubic_ok})
+        print(f"N={n_dim}: upper={rep.upper:.7f}  m_r={rep.m_r:.7f}  "
+              f"holds={rep.holds}  h3={rep.h3:.6f}")
     write_table(out / "bounds.csv", "N,upper_bound,m_r,holds,h3,h3_cubic_ok",
                 ((r["N"], r["upper_bound"], r["m_r"], r["holds"], r["h3"],
                   "" if r["h3_cubic_ok"] is None else int(r["h3_cubic_ok"])) for r in rows),
@@ -350,7 +341,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:         # a numerical failure, e.g. of shooting
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:      # e.g. a float overflow in the ray scaling
+    except ArithmeticError as exc:      # any other float error, shown with its type
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
 

@@ -6,19 +6,20 @@ map (feasible shift c(u), then the ray minimizer t*), so every accepted
 iterate is feasible and its energy is a valid upper bound for the infimum.
 The energy of a projected field is in closed form in its two integrals
 (the Dirichlet energy and int |v|^q of the shifted field), so the projection
-returns it without a separate energy evaluation.  The Dirichlet energy of
-a trial u - eta d is a quadratic in eta whose coefficients come from dot
-products: Ku is the raw gradient plus the nonlinearity it subtracts, and
-(K + W) d is the right-hand side of the H1 solve; no trial, and no spectral
-step below, walks the grid for it.  The shift of a trial is found inside
-[eta min d, eta max d]: u is feasible and the shift is monotone, so that
-interval holds it, and its width is eta osc(d), not osc(u - eta d).  For
-q > 1 the shift's safeguarded Newton search starts from the first-order
-shift eta mu, the implicit-function derivative of the constraint at u.
-The descent direction is the gradient of the energy in the H1 inner
-product (stiffness plus mass), which preconditions away the mesh-dependent
-stiffness of the plain quadrature-weighted gradient and gives
-mesh-independent convergence rates.  Step sizes start from a spectral
+returns it without a separate energy evaluation.  One function per
+iteration gives the direction d and what the trials u - eta d need of it:
+their Dirichlet energy is a quadratic in eta whose coefficients come from
+dot products (Ku is the raw gradient plus the nonlinearity it subtracts,
+and (K + W) d is the right-hand side of the H1 solve), so no trial, and no
+spectral step below, walks the grid for it.  The shift of a trial is found
+inside [eta min d, eta max d]: u is feasible and the shift is monotone, so
+that interval holds it, and its width is eta osc(d), not osc(u - eta d).
+For q > 1 the shift's safeguarded Newton search starts from the
+first-order shift eta mu, the implicit-function derivative of the
+constraint at u.  The descent direction is the gradient of the energy in
+the H1 inner product (stiffness plus mass), which preconditions away the
+mesh-dependent stiffness of the plain quadrature-weighted gradient and
+gives mesh-independent convergence rates.  Step sizes start from a spectral
 (Barzilai-Borwein) trial value taken in that same H1 metric,
 s'(K + W)s / s'(g_k - g_{k-1}) with s the last step and g the raw gradient,
 and are accepted through Armijo backtracking on the true (nonsmooth for
@@ -26,6 +27,7 @@ q = 1) energy values, so the accepted energy trace is monotone by
 construction.  Backtracking ends, with stop reason "no-descent-step", once
 the predicted decrease eta * <dphi, d> is at roundoff of |phi| (at once
 if <dphi, d> is not positive); the other stops are "grad-tol" and max_iter.
+A SolveReport stores the stop reason and derives `converged` from it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of a minimization run."""
+    """Outcome of a minimization run: what the run did."""
 
     u: np.ndarray
     energy: float
@@ -76,27 +78,32 @@ class SolveReport:
     energy_trace: list[float]
     seed: int
     q: float
-    converged: bool
     stop_reason: str
     recipe: str = "dipole"             # start: "dipole", "random", "warm-start" or "given"
-    constraint: str = ""               # "signed-mean-zero" or "sign-balance"
     near_best: list[dict] = field(default_factory=list)
 
+    @property
+    def converged(self) -> bool:
+        """True for every stop but "max-iterations-exceeded"."""
+        return self.stop_reason != "max-iterations-exceeded"
+
+    @property
+    def constraint(self) -> str:
+        """"sign-balance" at q = 1, "signed-mean-zero" for q > 1."""
+        return "sign-balance" if self.q == 1.0 else "signed-mean-zero"
+
     def to_dict(self, grid=None) -> dict:
-        """JSON-ready summary: every field but the field u, plus the grid's
-        dict; it holds no timing, so reruns with identical seeds serialize
-        byte-identically.  A run that accepts no step has no gradient norm
-        (inf), written as null."""
+        """JSON-ready summary: every field but the field u, converged and
+        constraint, plus the grid's dict; it holds no timing, so reruns with
+        identical seeds serialize byte-identically.  A run that accepts no
+        step has no gradient norm (inf), written as null."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
+        d["converged"], d["constraint"] = self.converged, self.constraint
         if not math.isfinite(self.grad_norm):
             d["grad_norm"] = None
         if grid is not None:
             d.update(grid.to_dict())
         return d
-
-
-def _constraint_name(spec: ProblemSpec) -> str:
-    return "sign-balance" if spec.sublinear_q1 else "signed-mean-zero"
 
 
 def project(spec: ProblemSpec, u: np.ndarray,
@@ -113,6 +120,7 @@ def project(spec: ProblemSpec, u: np.ndarray,
     array power serves both.  D does not change under the shift, so a
     caller that knows the Dirichlet energy of u passes it as `dirichlet`
     and no neighbour walk is made.  Constants project to the zero field.
+    A scale t* or energy that overflows raises RuntimeError.
     """
     u = np.asarray(u, dtype=float)
     g, q = spec.grid, spec.q
@@ -121,8 +129,12 @@ def project(spec: ProblemSpec, u: np.ndarray,
     if d <= 0.0:
         return np.zeros_like(v), 0.0
     a = functional.abs_power_integral(spec, v)
-    t = (a / d) ** (1.0 / (2.0 - q))
-    return t * v, -(2.0 - q) / (2.0 * q) * a * t ** q
+    try:
+        t = (a / d) ** (1.0 / (2.0 - q))
+        return t * v, -(2.0 - q) / (2.0 * q) * a * t ** q
+    except OverflowError:
+        raise RuntimeError(f"scale-out-of-range: ray scale (A/D)^(1/(2-q)) overflows, "
+                           f"A/D = {a / d!r}") from None
 
 
 def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
@@ -131,17 +143,29 @@ def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
     return g.h1_solve(g.weights * raw)
 
 
-def _descent_direction(spec: ProblemSpec, u: np.ndarray):
-    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0, D(d),
-    p = sgn(u)|u|^{q-1}), g = W (L_h u - p) as in functional.energy_gradient.
+def _direction(spec: ProblemSpec, u: np.ndarray, a: float):
+    """Returns (raw gradient g, H1 gradient d, slope <dphi, d> >= 0, coef,
+    mu) at a feasible u with a = int |u|^q: g = W (L_h u - p) as in
+    functional.energy_gradient, p = sgn(u)|u|^{q-1}; coef = (D(u), <Ku, d>,
+    D(d)), K the Dirichlet form, so that D(u - eta d) =
+    _dirichlet_along(coef, 1, eta) from dot products alone; and mu, the
+    trial's shift to first order in eta, or None where it is undefined.
 
-    The mean of g, a = sum g / sum w, is split off before the solve and
-    not added back to d: (K + W)^{-1} a w = a is a constant, which the
-    projection's shift absorbs.  The slope keeps its share, a sum g.
-    D(d) = <rhs, d> - <d, d>_w, rhs = g - a w the right-hand side solved,
+    The mean m = sum g / sum w is split off before the solve and not added
+    back to d: (K + W)^{-1} m w = m is a constant, which the projection's
+    shift absorbs.  The slope keeps its share, m sum g.
+    D(d) = <rhs, d> - <d, d>_w, rhs = g - m w the right-hand side solved,
     holds up to <d, r>, r the solve's residual, which is small because d
-    is smooth; a large a, such as -int sgn(u) / |Omega| at q = 1 on a small
+    is smooth; a large m, such as -int sgn(u) / |Omega| at q = 1 on a small
     domain, would bury the variation of d in its rounding and break it.
+    Ku = g + W p, so D(u) = <g, u> + a: the walked D(u) enters through g,
+    so the rounding of one step's closed form does not carry into the
+    next, as it would with D(u) = a, which holds at the ray optimum.
+    <Ku, d> = <g, d> + <p, d>_w; taken instead from the H1 solve as
+    <u, rhs> - <u, d>_w it carries <u, r>, which reached 1e-11 relative on
+    a 1024-node interval (u has a kink at its nodal set).
+    mu = int |u|^{q-2} d / int |u|^{q-2} (q > 1), the implicit-function
+    derivative of the constraint at u; undefined where u has zeros.
     """
     g = spec.grid
     p = functional.signed_power(u, spec.q - 1.0)
@@ -151,43 +175,17 @@ def _descent_direction(spec: ProblemSpec, u: np.ndarray):
     rhs = g.weights * -mean
     rhs += euclid
     d = g.h1_solve(rhs)
-    dd = float(np.dot(rhs, d)) - float(np.dot(g.weights * d, d))
-    return euclid, d, float(np.dot(euclid, d)) + mean * total, dd, p
-
-
-def _wnorm(g, v) -> float:
-    return float(np.sqrt(np.dot(g.weights, v * v)))
-
-
-def _trial_model(spec: ProblemSpec, u: np.ndarray, a: float, euclid: np.ndarray,
-                 d: np.ndarray, dd: float,
-                 p: np.ndarray) -> tuple[tuple[float, float, float], float | None]:
-    """What an iterate u with a = int |u|^q and p = sgn(u)|u|^{q-1} knows of
-    every trial u - eta d, from dot products alone: coef = (D(u), <Ku, d>,
-    D(d) = dd), K the Dirichlet form, so that D(u - eta d) =
-    _dirichlet_along(coef, 1, eta); and mu, the trial's shift to first order
-    in eta, or None where it is undefined.  p is overwritten.
-
-    Ku = euclid + W p, with euclid the raw gradient and p the nonlinearity
-    it subtracts.  So D(u) = <euclid, u> + a: the walked D(u) enters through
-    euclid, so the rounding of one step's closed form does not carry into
-    the next, as it would with D(u) = a, which holds at the ray optimum.
-    <Ku, d> = <euclid, d> + <p, d>_w; taken instead from the H1 solve as
-    <u, rhs> - <u, d>_w it carries <u, r>, r the solve's residual, which
-    reached 1e-11 relative on a 1024-node interval (u has a kink at its
-    nodal set).  mu = int |u|^{q-2} d / int |u|^{q-2} (q > 1), the
-    implicit-function derivative of the constraint at the feasible u;
-    undefined where u has zeros.
-    """
-    g = spec.grid
     wd = g.weights * d
-    coef = (float(np.dot(euclid, u)) + a, float(np.dot(euclid, d)) + float(np.dot(p, wd)), dd)
+    ed = float(np.dot(euclid, d))
+    coef = (float(np.dot(euclid, u)) + a, ed + float(np.dot(p, wd)),
+            float(np.dot(rhs, d)) - float(np.dot(wd, d)))
+    slope = ed + mean * total
     if spec.sublinear_q1:
-        return coef, None
+        return euclid, d, slope, coef, None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = np.divide(p, u, out=p)       # |u|^{q-2}: NaN at zeros, inf at subnormals
     mu = float(np.dot(r, wd)) / float(np.dot(r, g.weights))
-    return coef, mu if math.isfinite(mu) else None
+    return euclid, d, slope, coef, mu if math.isfinite(mu) else None
 
 
 def _dirichlet_along(coef: tuple[float, float, float], a: float, b: float) -> float:
@@ -205,10 +203,11 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     the projected-gradient norm (quadrature-weighted) drops below grad_tol
     ("grad-tol"), when no step passes Armijo before
     eta_k |dphi(u_k)|^2 <= 4 eps |phi| ("no-descent-step"), or at max_iter
-    ("max-iterations-exceeded", the one stop not flagged converged).  Starts
-    from u0, or from the dipole x1 when u0 is None; constant starts are
-    re-seeded from the configured rng, so a projected start whose energy is
-    0 has underflowed: it raises RuntimeError, as does a non-finite one.
+    ("max-iterations-exceeded", the one stop SolveReport.converged counts
+    as not converged).  Starts from u0, or from the dipole x1 when u0 is
+    None; constant starts are re-seeded from the configured rng, so a
+    projected start whose energy is 0 has underflowed: it raises
+    RuntimeError, as does a non-finite one.
     """
     g = spec.grid
     u = g.x1.copy() if u0 is None else np.asarray(u0, dtype=float)
@@ -220,40 +219,27 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         raise RuntimeError(f"scale-out-of-range: projected start energy {phi!r}")
     trace = [phi]
     eta = _STEP0
-    eta_cap = 1e6 * _STEP0
     grad_norm = float("inf")
-    converged = False
     reason = "max-iterations-exceeded"
-    it = 0
-    prev_u = prev_grad = None
-    ks = 0.0                           # s'Ks of the last step s
+    # the last step s = u_k - u_{k-1}, its s'(K + W)s and g_{k-1}
+    s = s_h1 = prev_grad = None
     # a projected field sits at its ray optimum, where D = int |u|^q = nehari * phi
     nehari = -2.0 * spec.q / (2.0 - spec.q)
 
-    while it < config.max_iter:
-        it += 1
-        euclid, d, slope, dd, p = _descent_direction(spec, u)
+    for it in range(1, config.max_iter + 1):
+        euclid, d, slope, coef, mu = _direction(spec, u, nehari * phi)
         # spectral (Barzilai-Borwein) trial step in the H1 metric of d:
         # eta = s'(K + W)s / s'(g_k - g_{k-1}) with s = u_k - u_{k-1} and g
         # the raw gradient, safeguarded by the Armijo loop below so the
         # energy trace stays monotone
-        if prev_u is not None:
-            s = u - prev_u
-            sy = float(np.dot(s, euclid - prev_grad))
-            if sy > 0.0:
-                eta = (ks + float(np.dot(g.weights, s * s))) / sy
-            else:
-                eta = eta / _BACKTRACK
-        else:
-            eta = eta / _BACKTRACK
-        eta = min(max(eta, 1e-6 * _STEP0), eta_cap)
-        prev_u, prev_grad = u, euclid
+        sy = 0.0 if s is None else float(np.dot(s, euclid - prev_grad))
+        eta = s_h1 / sy if sy > 0.0 else eta / _BACKTRACK
+        eta = min(max(eta, 1e-6 * _STEP0), 1e6 * _STEP0)
+        prev_grad = euclid
         # the Dirichlet energy along u - eta d is quadratic in eta; u is
         # feasible and the shift is monotone, so the shift of u - eta d lies
         # in [eta min d, eta max d], and to first order at eta mu
-        coef, mu = _trial_model(spec, u, nehari * phi, euclid, d, dd, p)
         dmin, dmax = float(np.min(d)), float(np.max(d))
-        accepted = False
         # halve until Armijo holds or the predicted decrease is at roundoff;
         # no absolute floor: phi < 0; a slope not positive and finite stops it
         while eta * slope > _ROUNDOFF * abs(phi):
@@ -261,29 +247,30 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
             trial, phi_t = project(spec, u - eta * d, (eta * dmin, eta * dmax),
                                    None if mu is None else eta * mu, dv)
             if phi_t <= phi - _ARMIJO * eta * slope:
-                accepted = True
                 break
             eta *= _BACKTRACK
-        if not accepted:
-            converged, reason = True, "no-descent-step"
+        else:
+            reason = "no-descent-step"
             break
-        grad_norm = _wnorm(g, trial - u) / eta
+        s = trial - u
+        ws = float(np.dot(g.weights, s * s))
+        grad_norm = math.sqrt(ws) / eta
         # trial = t (u - eta d) up to a constant, where project scaled the
         # Dirichlet energy dv by t^2
         t = math.sqrt(nehari * phi_t / dv)
-        ks = _dirichlet_along(coef, t - 1.0, t * eta)
+        s_h1 = _dirichlet_along(coef, t - 1.0, t * eta) + ws
         u, phi = trial, phi_t
         trace.append(phi)
         if grad_norm <= config.grad_tol:
-            converged, reason = True, "grad-tol"
+            reason = "grad-tol"
             break
 
     check = functional.in_constraint(spec, u)
     return SolveReport(
         u=u, energy=phi, constraint_residual=check.residual,
         grad_norm=grad_norm, iterations=it, energy_trace=trace,
-        seed=config.seed, q=spec.q, converged=converged, stop_reason=reason,
-        recipe="dipole" if u0 is None else "given", constraint=_constraint_name(spec),
+        seed=config.seed, q=spec.q, stop_reason=reason,
+        recipe="dipole" if u0 is None else "given",
     )
 
 
@@ -317,9 +304,10 @@ def multistart(spec: ProblemSpec, config: SolveConfig) -> SolveReport:
 def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
     """Solve a descending list of exponents, warm-starting each run from the
     previous minimizer re-projected under the new constraint.  The first
-    exponent is solved by multistart.  A q = 1 run warm-started from a
-    q > 1 minimizer has its stop reason marked: the constraint switched from
-    the signed mean to the sign balance."""
+    exponent is solved by multistart.  Where a q = 1 run is warm-started
+    from a q > 1 minimizer, the constraint switches from the signed mean to
+    the sign balance: that rung's report has recipe "warm-start" and
+    constraint "sign-balance", and the previous rung's q is above 1."""
     qs = [float(q) for q in q_list]
     if not qs:
         raise ValueError("continuation needs at least one exponent")
@@ -336,8 +324,6 @@ def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
         else:
             rep = minimize_energy(spec, config, u0=prev)
             rep.recipe = "warm-start"
-        if spec.sublinear_q1 and reports and reports[-1].q > 1.0:
-            rep.stop_reason += "; constraint switched to sign-balance"
         reports.append(rep)
         prev = rep.u
     return reports

@@ -576,27 +576,30 @@ class ChainReport:
     m_r: float            # least radial nodal energy, q = 1
     holds: bool           # upper < m_r
     h3: float             # (5 * 2^(1/3) - 7) / 3
-    h3_cubic_ok: bool     # N^3 h(3) + 4N - 8 < 0, the sufficient inequality
+    h3_cubic_ok: bool | None  # N^3 h(3) + 4N - 8 < 0, the sufficient
+                              # inequality; None for N = 2
     h3_below_minus_one: bool
 
 
 def check_inequality_chain(n_dim: int) -> ChainReport:
     """Numerical check of the strict gap between the nonradial upper bound
-    and the least radial nodal energy for N >= 3.
+    and the least radial nodal energy for N >= 2.  The bound takes s = -1,
+    or s = 0 for N = 2, where s = -1 is not admissible (s > -N/2).
 
     Also reports h(3) = (5 * 2^(1/3) - 7)/3 ~ -0.2335, with
     h(t) = (2^{-2/t} - 1) t + 2^{-2/t} + (2/t)(1 - 2^{-2/t}), and whether it
     satisfies N^3 h(3) + 4N - 8 < 0, which (h, though not monotone, being
-    largest on [3, inf) at t = 3) is what the gap reduces to; the stricter
-    h(3) < -1 is false and is reported as such.
+    largest on [3, inf) at t = 3) is what the gap reduces to for N >= 3
+    (None for N = 2); the stricter h(3) < -1 is false and is reported as
+    such.
     """
-    if n_dim < 3:
-        raise ValueError("unsupported-N: the chain needs N >= 3")
-    upper = test_function_bound(n_dim, -1.0)
+    if n_dim < 2:
+        raise ValueError("unsupported-N: the chain needs N >= 2")
+    upper = test_function_bound(n_dim, -1.0 if n_dim > 2 else 0.0)
     mr = m_radial(n_dim, 1.0)
     cubic = n_dim**3 * H3 + 4.0 * n_dim - 8.0
     return ChainReport(n_dim=n_dim, upper=upper, m_r=mr, holds=upper < mr,
-                       h3=H3, h3_cubic_ok=cubic < 0.0,
+                       h3=H3, h3_cubic_ok=cubic < 0.0 if n_dim > 2 else None,
                        h3_below_minus_one=H3 < -1.0)
 
 

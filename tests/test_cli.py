@@ -297,7 +297,7 @@ def test_start_out_of_scale_exits_two(tmp_path, argv):
     res = run_child("-m", "nodal_lab.cli", "solve", *argv, "--starts", 1,
                     "--out", tmp_path / "o")
     assert res.returncode == 2
-    assert res.stderr.startswith("error:")
+    assert res.stderr.startswith("error: scale-out-of-range:")
     assert "Traceback" not in res.stderr
 
 

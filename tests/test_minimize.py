@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -77,10 +78,9 @@ def test_trial_dirichlet_energy_in_closed_form(grid, q, seed, eta):
     # D returns what it returns after its own walk
     spec = fn.ProblemSpec(grid, q)
     u, phi = mz.project(spec, smooth_random_field(grid, np.random.default_rng(seed)))
-    euclid, d, _, dd, p = mz._descent_direction(spec, u)
-    assert np.array_equal(euclid, grid.weights * fn.energy_gradient(spec, u))
     nehari = -2.0 * q / (2.0 - q)
-    coef, _ = mz._trial_model(spec, u, nehari * phi, euclid, d, dd, p)
+    euclid, d, _, coef, _ = mz._direction(spec, u, nehari * phi)
+    assert np.array_equal(euclid, grid.weights * fn.energy_gradient(spec, u))
     assert coef[0] == pytest.approx(geo.dirichlet_energy(grid, u), rel=1e-12)
     eta = 10.0 ** eta
     v = u - eta * d
@@ -268,8 +268,9 @@ def test_continuation_descends_to_q1():
     # energies vary continuously along the sweep (no jumps in this range)
     steps = np.abs(np.diff(energies))
     assert np.max(steps) <= 0.12
-    assert reps[-1].constraint == "sign-balance"
-    assert "sign-balance" in reps[-1].stop_reason
+    assert {r.stop_reason for r in reps} <= {"grad-tol", "no-descent-step",
+                                             "max-iterations-exceeded"}
+    assert (reps[-1].constraint, reps[-1].recipe) == ("sign-balance", "warm-start")
     assert reps[0].constraint == "signed-mean-zero"
     with pytest.raises(ValueError):
         mz.continuation_sweep(grid, [1.0, 1.5], cfg)       # not descending
@@ -285,9 +286,29 @@ def test_continuation_marks_only_a_switched_constraint():
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 128)
     cfg = mz.SolveConfig(seed=4, starts=1)
     reps = mz.continuation_sweep(grid, [1.5, 1.0, 1.0], cfg)
-    assert reps[1].stop_reason.endswith("; constraint switched to sign-balance")
-    assert "switched" not in reps[0].stop_reason + reps[2].stop_reason
-    assert "switched" not in mz.continuation_sweep(grid, [1.0], cfg)[0].stop_reason
+    switched = [i for i, (prev, r) in enumerate(zip(reps, reps[1:]), 1)
+                if r.recipe == "warm-start" and r.constraint == "sign-balance"
+                and prev.q > 1.0]
+    assert switched == [1]
+    assert [r.constraint for r in reps] == ["signed-mean-zero", "sign-balance", "sign-balance"]
+    assert [r.recipe for r in reps] == ["dipole", "warm-start", "warm-start"]
+
+
+@pytest.mark.parametrize("stop", ["grad-tol", "no-descent-step", "max-iterations-exceeded"])
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_report_derives_converged_and_constraint(interval_grid, stop, q):
+    # converged and constraint are not stored: they follow from the stop
+    # reason and q, and report.json still carries both
+    rep = mz.SolveReport(u=np.zeros(3), energy=-0.1, constraint_residual=0.0,
+                         grad_norm=1e-7, iterations=5, energy_trace=[-0.1], seed=0,
+                         q=q, stop_reason=stop)
+    assert rep.converged is (stop != "max-iterations-exceeded")
+    assert rep.constraint == ("sign-balance" if q == 1.0 else "signed-mean-zero")
+    d = rep.to_dict(interval_grid)
+    assert (d["converged"], d["constraint"]) == (rep.converged, rep.constraint)
+    assert "u" not in d and d["stop_reason"] == stop
+    names = {f.name for f in dataclasses.fields(mz.SolveReport)}
+    assert not names & {"converged", "constraint"}
 
 
 def test_grid_refinement_richardson():

@@ -362,8 +362,13 @@ def test_inequality_chain():
     assert not rep.h3_below_minus_one
     for n in range(3, 11):
         assert rad.check_inequality_chain(n).holds
+    # s = -1 is not admissible at N = 2 (s > -N/2), so the bound takes s = 0
+    two = rad.check_inequality_chain(2)
+    assert two.upper == rad.test_function_bound(2, 0.0)
+    assert two.m_r == rad.m_radial(2, 1.0) and two.holds
+    assert two.h3_cubic_ok is None
     with pytest.raises(ValueError):
-        rad.check_inequality_chain(2)
+        rad.check_inequality_chain(1)
 
 
 def _h_value(t):
