@@ -160,14 +160,11 @@ def cmd_radial(args) -> int:
 
     from . import radial
     n_dim, q = args.N, args.q
-    if n_dim < 2 or not 1.0 <= q < 2.0:
-        raise ValueError(f"invalid N or q: N={n_dim}, q={q}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"N": n_dim, "q": q, "version": __version__}
 
-    # shoot_neumann fails unless |u'(1)| <= 1e-8.  For q > 1 the profile's
-    # energy is exactly m_radial(n_dim, q); q = 1 keeps the closed form
+    # shoot_neumann rejects N < 2 and q outside [1, 2), and fails unless
+    # |u'(1)| <= 1e-8.  For q > 1 the profile's energy is exactly
+    # m_radial(n_dim, q); q = 1 keeps the closed form
     profile = radial.shoot_neumann(q, n_dim)
     m_r = radial.m_radial(n_dim, q) if q == 1.0 else radial.profile_energy(profile)
     payload["m_r"] = m_r
@@ -183,7 +180,8 @@ def cmd_radial(args) -> int:
         exact = radial.closed_form_q1(n_dim, r=profile.r)
         payload["closed_form_sup_error"] = float(np.max(np.abs(profile.u - exact.u)))
         payload["h_monotone"] = radial.h_energy_monotone(profile)
-        payload["energy_quadrature"] = radial.profile_energy(radial.closed_form_q1(n_dim))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     radial.write_profile_csv(profile, out / "profile.csv")
     _write_json(out / "radial_report.json", payload)
     print(f"N={n_dim} q={q} m_r = {m_r:.7f}")

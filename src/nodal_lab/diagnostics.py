@@ -73,21 +73,20 @@ def write_zero_curve_csv(curve: ZeroMeasureCurve, path) -> None:
                 zip(curve.deltas.tolist(), curve.measures.tolist()), "%.17g,%.17g")
 
 
-def nodal_domains(grid: Grid, u: np.ndarray, threshold: float = 0.0) -> int:
-    """Number of edge-connected components of {u > threshold} plus those of
-    {u < -threshold}, threshold >= 0.
+def nodal_domains(grid: Grid, u: np.ndarray) -> int:
+    """Number of edge-connected components of {u > 0} plus those of
+    {u < 0}, the nodal domains of u.
 
-    Each node is labelled 1, -1 or 0 by that test, and components are
+    Each node is labelled 1, -1 or 0 by its sign, and components are
     labelled over the neighbours that share a nonzero label by min-label
     hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
     1982): each round hooks the larger root of every pair that still joins
     two trees to the smaller, then points every node at its tree's root.
-    Every 0-labelled node stays a root of its own and is not counted.
+    Every 0-labelled node, a zero or NaN, stays a root of its own and is
+    not counted.
     """
-    if not threshold >= 0:
-        raise ValueError(f"nodal_domains threshold must be >= 0, got {threshold!r}")
     u = np.asarray(u, dtype=float)
-    label = (u > threshold).astype(np.int8) - (u < -threshold)
+    label = (u > 0).astype(np.int8) - (u < 0)
     nonzero = (label != 0).reshape(grid.shape)
     # neighbours k, k - d that share a nonzero label: the walk over the node
     # indices puts k's successor at k - d, or k itself where it has none, a
@@ -130,11 +129,11 @@ def radiality_deviation(grid: Grid, u: np.ndarray) -> float:
     if not grid.is_polar:
         raise ValueError("wrong-domain-kind: radiality needs a polar grid")
     u = np.asarray(u, dtype=float)
-    profiles, ring_means = geometry.angular_profiles(grid, u)
+    profiles = u.reshape(grid.shape)
     w = grid.weights
     mean = float(np.dot(w, u)) / float(np.sum(w))
     var_total = float(np.dot(w, (u - mean) ** 2))
-    around = (profiles - ring_means[:, None]).ravel()
+    around = (profiles - profiles.mean(axis=1)[:, None]).ravel()
     var_ring = float(np.dot(w, around**2))
     if var_total == 0.0:
         return 0.0
@@ -145,7 +144,7 @@ def _angular_monotonicity_violation(grid: Grid, u: np.ndarray,
                                     axis: float) -> float:
     """Largest increase of any ring profile with growing angular distance
     from the axis (ties in distance are not compared)."""
-    profiles, _ = geometry.angular_profiles(grid, u)
+    profiles = u.reshape(grid.shape)
     thetas = grid.polar["thetas"]
     d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
     order = np.argsort(d, kind="stable")
@@ -232,8 +231,8 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
     else:
         # axis-undefined for the first mode; cross-check rule: point of
         # maximum on the ring with the largest angular variance
-        profiles, ring_means = geometry.angular_profiles(grid, u)
-        ring_var = np.var(profiles - ring_means[:, None], axis=1)
+        profiles = u.reshape(grid.shape)
+        ring_var = np.var(profiles - profiles.mean(axis=1)[:, None], axis=1)
         j = int(np.argmax(ring_var))
         axis = float(thetas[int(np.argmax(profiles[j]))])
         method = "max-point"

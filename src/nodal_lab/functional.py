@@ -30,7 +30,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ProblemSpec:
     """Exponent and discretized domain.  q = 1 switches the nonlinearity to
-    sgn(u) and the constraint to the sign-balance bracket."""
+    sgn(u) and the constraint to the sign-balance bracket; the code tests
+    spec.q == 1.0 for it."""
 
     grid: Grid
     q: float
@@ -38,10 +39,6 @@ class ProblemSpec:
     def __post_init__(self):
         if not 1.0 <= self.q < 2.0:
             raise ValueError(f"q-out-of-range: need 1 <= q < 2, got {self.q}")
-
-    @property
-    def sublinear_q1(self) -> bool:
-        return self.q == 1.0
 
 
 def signed_power(u: np.ndarray, p: float) -> np.ndarray:
@@ -177,7 +174,7 @@ def c_shift(spec: ProblemSpec, u: np.ndarray,
             raise ValueError("non-finite field: c_shift needs finite node values")
     else:
         lo, hi = bracket
-    if spec.sublinear_q1:
+    if spec.q == 1.0:
         c = _weighted_median_shift(g, u, lo, hi)
         if c is None and bracket is None:
             raise RuntimeError("unbalanced-median: no candidate passes the sign balance")
@@ -239,7 +236,7 @@ def in_constraint(spec: ProblemSpec, u: np.ndarray) -> ConstraintCheck:
     """
     u = np.asarray(u, dtype=float)
     g = spec.grid
-    if spec.sublinear_q1:
+    if spec.q == 1.0:
         return ConstraintCheck(*_sign_balance(g, u))
     residual = abs(_signed_mean(g, u, spec.q, 0.0))
     scale = float(np.dot(g.weights, np.abs(u) ** (spec.q - 1.0)))
@@ -269,7 +266,7 @@ def hessian_form(spec: ProblemSpec, u: np.ndarray, v: np.ndarray,
     gradient vanishes (so the form's classical domain is left), a
     RuntimeWarning is emitted and the value is still returned.
     """
-    if spec.sublinear_q1:
+    if spec.q == 1.0:
         raise ValueError("q-out-of-range: the second-derivative form needs q > 1")
     g = spec.grid
     u = np.asarray(u, dtype=float)

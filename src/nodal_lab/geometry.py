@@ -71,10 +71,6 @@ class DomainSpec:
         return cls("annulus", radii=(float(inner), float(outer)))
 
     @property
-    def dim(self) -> int:
-        return 1 if self.kind == "interval" else 2
-
-    @property
     def measure(self) -> float:
         """Total measure of the domain, in closed form."""
         if self.kind == "interval":
@@ -112,7 +108,8 @@ class Grid:
     and are numbered row-major over `shape`: (n,) on an interval, (n1, n2)
     on a rectangle and (n_r, n_theta) rings by angles on polar grids, so
     np.arange(n_nodes).reshape(shape) is the node-index array every
-    reflection and angular profile reads.
+    reflection reads, and on a polar grid row i of u.reshape(shape) is ring
+    i's profile, ordered by angle.
 
     axes[a] = (periodic, face, length) describes the edges along axis a:
     every node of the index array is joined to its successor along a,
@@ -455,20 +452,6 @@ def reflect(grid: Grid, u: np.ndarray, hid: int) -> np.ndarray:
     if not 0 <= hid < len(grid.shape):
         raise ValueError(f"unsupported-hyperplane: id {hid} on {grid.kind}")
     return np.flip(u, axis=hid).ravel()
-
-
-def angular_profiles(grid: Grid, u: np.ndarray):
-    """Per-ring node values ordered by polar angle, plus ring averages.
-
-    Returns (profiles, ring_means) where profiles has shape (n_r, n_theta)
-    with column k at angle theta_k, and ring_means is the plain average of
-    each ring (weights are constant within a ring).
-    """
-    if not grid.is_polar:
-        raise ValueError("wrong-domain-kind: angular profiles need a polar grid")
-    u = _check_field(grid, u)
-    profiles = u.reshape(grid.shape)
-    return profiles, profiles.mean(axis=1)
 
 
 def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def _direction(spec: ProblemSpec, u: np.ndarray, a: float):
     coef = (float(np.dot(euclid, u)) + a, ed + float(np.dot(p, wd)),
             float(np.dot(rhs, d)) - float(np.dot(wd, d)))
     slope = ed + mean * total
-    if spec.sublinear_q1:
+    if spec.q == 1.0:
         return euclid, d, slope, coef, None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = np.divide(p, u, out=p)       # |u|^{q-2}: NaN at zeros, inf at subnormals

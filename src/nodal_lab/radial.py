@@ -56,9 +56,6 @@ class RadialProfile:
         if not (np.isfinite(self.u).all() and np.isfinite(self.du).all()):
             raise ValueError("radial samples must be finite")
 
-    def neumann_end_defect(self) -> float:
-        return max(abs(float(self.du[0])), abs(float(self.du[-1])))
-
     def sign_changes(self) -> int:
         s = np.sign(self.u)
         s = s[s != 0]

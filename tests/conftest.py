@@ -73,7 +73,7 @@ def polarize(grid, u, hid, toward=None):
         alpha = hid * math.pi / grid.shape[1]
         normal = np.array([-math.sin(alpha), math.cos(alpha)])
     else:
-        normal = np.eye(grid.domain.dim)[hid]
+        normal = np.eye(grid.coords.shape[1])[hid]
     s = grid.coords @ normal
     if toward is not None and float(np.dot(toward, normal)) < 0:
         s = -s

@@ -218,6 +218,7 @@ def test_command_input_errors_print_error_line(tmp_path, argv):
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()       # a rejected command writes nothing
 
 
 def test_solve_leaves_scipy_optimize_unimported(tmp_path):
@@ -283,8 +284,9 @@ def test_radial_command_invalid_inputs(tmp_path):
 
 
 def test_radial_shooting_failure_exits_two(tmp_path, capsys):
-    assert run(["radial", "--N", 16, "--q", 1.99, "--out", tmp_path]) == 2
+    assert run(["radial", "--N", 16, "--q", 1.99, "--out", tmp_path / "o"]) == 2
     assert "no-sign-change-in-bracket" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()       # created only after the shot
 
 
 @pytest.mark.parametrize("argv", [

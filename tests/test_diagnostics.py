@@ -100,7 +100,8 @@ def test_nodal_domains_matches_two_pass(grid, seed, field, level):
     if field.endswith("rounded"):
         u = np.round(3.0 * u / scale) * scale / 3.0
     threshold = level * scale
-    assert dg.nodal_domains(grid, u, threshold) == _reference_nodal_domains(grid, u, threshold)
+    banded = np.where(np.abs(u) > threshold, u, 0.0)
+    assert dg.nodal_domains(grid, banded) == _reference_nodal_domains(grid, u, threshold)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,8 @@ def test_nodal_domains_fields_match_csgraph(fine_disc):
     counts = {}
     for name, u in fields.items():
         for threshold in (0.0, 0.3):
-            counts[name, threshold] = dg.nodal_domains(fine_disc, u, threshold)
+            banded = np.where(np.abs(u) > threshold, u, 0.0)
+            counts[name, threshold] = dg.nodal_domains(fine_disc, banded)
             assert counts[name, threshold] == _reference_nodal_domains(fine_disc, u, threshold), name
     assert counts["dipole", 0.0] == 2
     assert counts["noise", 0.0] > 1000 and counts["spiral", 0.0] > 2 and counts["ring", 0.0] > 20
@@ -146,7 +148,8 @@ def test_nodal_domains_snake(shape):
 
 def test_nodal_domains_empty_and_single_node_sets(disc_grid):
     assert dg.nodal_domains(disc_grid, np.zeros(disc_grid.n_nodes)) == 0
-    assert dg.nodal_domains(disc_grid, disc_grid.x1, threshold=10.0) == 0
+    x1 = disc_grid.x1
+    assert dg.nodal_domains(disc_grid, np.where(np.abs(x1) > 10.0, x1, 0.0)) == 0
     rect = geo.build_grid(geo.DomainSpec.rectangle(1.0, 2.0), (9, 12))
     i, j = np.indices(rect.shape)
     # a checkerboard: every node a set of its own
@@ -156,7 +159,8 @@ def test_nodal_domains_empty_and_single_node_sets(disc_grid):
     u[::2, ::3] = 1.0
     u[1::4, 1::3] = -0.5
     assert dg.nodal_domains(rect, u.ravel()) == np.count_nonzero(u)
-    assert dg.nodal_domains(rect, u.ravel(), threshold=0.5) == np.count_nonzero(u > 0.5)
+    assert (dg.nodal_domains(rect, np.where(np.abs(u) > 0.5, u, 0.0).ravel())
+            == np.count_nonzero(u > 0.5))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -169,11 +173,6 @@ def test_nodal_domains_random_signs_match_csgraph(grid, seed, share, positive):
     u = np.where(rng.random(grid.n_nodes) < positive, 1.0, -1.0)
     u[rng.random(grid.n_nodes) < share] = 0.0
     assert dg.nodal_domains(grid, u) == _reference_nodal_domains(grid, u, 0.0)
-
-
-def test_nodal_domains_rejects_negative_threshold(disc_grid):
-    with pytest.raises(ValueError):
-        dg.nodal_domains(disc_grid, disc_grid.x1, -0.1)
 
 
 def test_radiality_deviation(disc_grid):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
-from conftest import polar_coords, reference_edges, small_grids
+from conftest import reference_edges, small_grids
 
 
 def test_domain_measures():
@@ -333,22 +333,6 @@ def test_h1_solve_at_the_edge_sizes_of_cyclic_reduction(grid):
     assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
 
 
-def test_angular_profiles(disc_grid):
-    r, th = polar_coords(disc_grid)
-    profiles, means = geo.angular_profiles(disc_grid, r)
-    assert np.allclose(profiles, profiles[:, :1])          # radial: rows constant
-    profiles, means = geo.angular_profiles(disc_grid, np.cos(th))
-    thetas = disc_grid.polar["thetas"]
-    assert np.allclose(profiles[10], np.cos(thetas), atol=1e-12)
-    _, means = geo.angular_profiles(disc_grid, disc_grid.x1)
-    assert np.max(np.abs(means)) <= 1e-12
-
-
-def test_angular_profiles_wrong_domain(interval_grid):
-    with pytest.raises(ValueError):
-        geo.angular_profiles(interval_grid, interval_grid.coords[:, 0])
-
-
 def test_gradient_magnitude_linear(disc_grid):
     gm = geo.gradient_magnitude(disc_grid, disc_grid.x1)
     assert np.max(np.abs(gm - 1.0)) <= 0.02
@@ -401,3 +385,8 @@ def test_disc_node_layout(disc_grid):
     assert np.allclose(rr[:-1], (np.arange(nr - 1) + 0.5) * dr, rtol=1e-14)
     assert rr[0] > 0.0
     assert rr[-1] == 1.0
+    # row i of a field's node array is ring i, its columns ordered by angle
+    thetas = disc_grid.polar["thetas"]
+    x, y = disc_grid.coords.T.reshape(2, *disc_grid.shape)
+    assert np.allclose(x, np.outer(rr, np.cos(thetas)), rtol=0, atol=1e-14)
+    assert np.allclose(y, np.outer(rr, np.sin(thetas)), rtol=0, atol=1e-14)

@@ -44,7 +44,7 @@ def test_closed_form_shape(interval_grid=None):
         p = rad.closed_form_q1(n)
         assert p.sign_changes() == 1               # exactly two nodal domains
         assert np.all(np.diff(p.u) < 1e-15)        # strictly decreasing profile
-        assert p.neumann_end_defect() <= 1e-8
+        assert max(abs(p.du[0]), abs(p.du[-1])) <= 1e-8
 
 
 def test_closed_form_rejects_low_dimension():
