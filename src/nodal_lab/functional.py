@@ -52,9 +52,11 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def abs_power_integral(spec: ProblemSpec, u: np.ndarray) -> float:
-    """integrate(|u|^q), exactly integrate(|u|) at q = 1 (x ** 1.0 is x)."""
+    """integrate(|u|^q); at q = 1 integrate(|u|), with no power taken."""
     r = np.abs(u, dtype=float)
-    return geometry.integrate(spec.grid, np.power(r, spec.q, out=r))
+    if spec.q != 1.0:
+        np.power(r, spec.q, out=r)
+    return geometry.integrate(spec.grid, r)
 
 
 def energy(spec: ProblemSpec, u: np.ndarray) -> float:

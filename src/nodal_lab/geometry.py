@@ -341,6 +341,41 @@ def grid_from_dict(d: dict) -> Grid:
     return build_grid(spec, [d["resolution"][name] for name in _KINDS[spec.kind][1]])
 
 
+def coarsen(grid: Grid) -> Grid | None:
+    """The same domain at half the nodes per direction (rounded down), or
+    None where build_grid refuses that resolution."""
+    try:
+        return build_grid(grid.domain, [n // 2 for n in grid.shape])
+    except ValueError:
+        return None
+
+
+def _axis_nodes(grid: Grid) -> list[np.ndarray]:
+    """The node positions along each axis, increasing: the coordinate of a
+    box axis, the ring radii and angles on polar grids."""
+    if grid.is_polar:
+        return [grid.polar["ring_radii"], grid.polar["thetas"]]
+    return [np.unique(x) for x in grid.coords.T]
+
+
+def prolong(coarse: Grid, fine: Grid, u: np.ndarray) -> np.ndarray:
+    """A field of coarse interpolated onto fine, the same domain's grid:
+    separable linear interpolation along each axis, periodic in the angle
+    on polar grids and clamped at the ends of the coarse node range.  Each
+    value is u_lo + t (u_hi - u_lo), so constants come back exactly."""
+    u = _check_field(coarse, u).reshape(coarse.shape)
+    for a, (xc, xf) in enumerate(zip(_axis_nodes(coarse), _axis_nodes(fine))):
+        if coarse.axes[a][0]:             # periodic: the first slice again at 2 pi
+            xc = np.append(xc, 2.0 * math.pi)
+            u = np.concatenate([u, u.take([0], axis=a)], axis=a)
+        lo = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, len(xc) - 2)
+        t = np.clip((xf - xc[lo]) / (xc[lo + 1] - xc[lo]), 0.0, 1.0)
+        t = t.reshape(-1, *[1] * (u.ndim - 1 - a))
+        u_lo = u.take(lo, axis=a)
+        u = u_lo + t * (u.take(lo + 1, axis=a) - u_lo)
+    return u.ravel()
+
+
 def __getattr__(name):
     # geometry.spla exists only for the benchmark's tracer, which wraps
     # spla.factorized (ROADMAP item 1 removes that wrapper); scipy is

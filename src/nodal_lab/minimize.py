@@ -28,6 +28,15 @@ construction.  Backtracking ends, with stop reason "no-descent-step", once
 the predicted decrease eta * <dphi, d> is at roundoff of |phi| (at once
 if <dphi, d> is not positive); the other stops are "grad-tol" and max_iter.
 A SolveReport stores the stop reason and derives `converged` from it.
+
+The multistart compares its starts coarse to fine (nested iteration:
+Brandt, Math. Comp. 1977; Li-Zhou, SIAM J. Sci. Comput. 2001): every start
+descends on the coarsest grid of the halving chain geometry.coarsen makes,
+and only the winner, prolongated level by level, descends on each finer
+grid.  A fine descent from the prolongated winner takes about as many
+iterations as one from scratch, so the gain is the losing starts that are
+never descended on the fine grids.  SolveReport.levels records each
+grid's work.
 """
 
 from __future__ import annotations
@@ -68,7 +77,16 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of a minimization run: what the run did."""
+    """Outcome of a minimization run: what the run did.
+
+    levels has one row per grid the run descended on, coarsest first and
+    the requested grid last: its resolution, the number of descents run
+    there, their summed iterations and the energy of that level's winner.
+    u, energy, iterations and energy_trace are the last row's descent.
+    near_best lists the starts that multistart compared, within 1e-6 of
+    the lowest, lowest first; they were compared on the coarsest level, so
+    their energies are that grid's (levels[0]), not the requested grid's.
+    """
 
     u: np.ndarray
     energy: float
@@ -81,6 +99,7 @@ class SolveReport:
     stop_reason: str
     recipe: str = "dipole"             # start: "dipole", "random", "warm-start" or "given"
     near_best: list[dict] = field(default_factory=list)
+    levels: list[dict] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -271,6 +290,8 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         grad_norm=grad_norm, iterations=it, energy_trace=trace,
         seed=config.seed, q=spec.q, stop_reason=reason,
         recipe="dipole" if u0 is None else "given",
+        levels=[{"resolution": g.resolution, "descents": 1, "iterations": it,
+                 "energy": phi}],
     )
 
 
@@ -286,18 +307,41 @@ def _run_start(spec: ProblemSpec, config: SolveConfig, idx: int) -> SolveReport:
 
 
 def multistart(spec: ProblemSpec, config: SolveConfig) -> SolveReport:
-    """Run config.starts independent descents (the dipole recipe first, then
-    seeded random starts) and return the lowest-energy report; deterministic
-    for a fixed seed."""
+    """Run config.starts descents (the dipole recipe first, then seeded
+    random starts) and return the lowest-energy one, coarse to fine;
+    deterministic for a fixed seed.
+
+    With more than one start, the starts run on the coarsest grid of the
+    chain geometry.coarsen makes from spec.grid, and only the winner goes
+    on: on each finer grid up to spec.grid, one descent from the last
+    winner prolongated (nested iteration: Brandt, Math. Comp. 1977).  The
+    report keeps the winning start's seed and recipe, near_best lists the
+    coarsest level's comparison, and levels the work of every grid.  With
+    one start there is nothing to choose: one descent on spec.grid.
+    """
     k = config.starts
-    reports = [_run_start(spec, config, i) for i in range(k)]
+    grids = [spec.grid]                 # finest first
+    while k > 1 and (coarse := geometry.coarsen(grids[-1])) is not None:
+        grids.append(coarse)
+    grid = grids.pop()
+    level = ProblemSpec(grid, spec.q)
+    reports = [_run_start(level, config, i) for i in range(k)]
     order = sorted(range(k), key=lambda i: (reports[i].energy, i))
     best = reports[order[0]]
-    best.near_best = [
+    near_best = [
         {"start": i, "recipe": reports[i].recipe, "seed": reports[i].seed,
          "energy": reports[i].energy}
         for i in order if reports[i].energy <= best.energy + 1e-6
     ]
+    levels = [{"resolution": grid.resolution, "descents": k,
+               "iterations": sum(r.iterations for r in reports), "energy": best.energy}]
+    for fine in reversed(grids):
+        rep = minimize_energy(ProblemSpec(fine, spec.q), replace(config, seed=best.seed),
+                              u0=geometry.prolong(grid, fine, best.u))
+        rep.recipe = best.recipe
+        levels += rep.levels
+        best, grid = rep, fine
+    best.near_best, best.levels = near_best, levels
     return best
 
 

@@ -185,12 +185,15 @@ def test_solve_output_schema(tmp_path):
     assert set(report) == {
         "config", "constraint", "constraint_residual", "converged", "domain",
         "energy", "energy_trace", "field_csv", "grad_norm", "iterations",
-        "near_best", "q", "recipe", "resolution", "seed", "stop_reason", "version"}
+        "levels", "near_best", "q", "recipe", "resolution", "seed", "stop_reason",
+        "version"}
     assert set(report["config"]) == {
         "domain", "grad_tol", "half_length", "max_iter", "n", "nr",
         "ntheta", "q", "radii", "radius", "seed", "sides", "starts"}
     assert {k for row in report["near_best"] for k in row} == {
         "energy", "recipe", "seed", "start"}
+    assert {k for row in report["levels"] for k in row} == {
+        "descents", "energy", "iterations", "resolution"}
     diag = json.loads((out / "diagnostics.json").read_text())
     assert set(diag) == {"foliated_schwarz", "nodal_domains", "pde_residual",
                          "radiality_deviation", "zero_measure"}

@@ -333,6 +333,57 @@ def test_h1_solve_at_the_edge_sizes_of_cyclic_reduction(grid):
     assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
 
 
+def _axis_positions(grid):
+    """Per axis, every node's position along it, shaped like the node
+    array: the coordinate itself on box grids, the ring radius and then the
+    angle on polar grids."""
+    if grid.is_polar:
+        r, th = grid.polar["ring_radii"], grid.polar["thetas"]
+        return [np.broadcast_to(r[:, None], grid.shape), np.broadcast_to(th, grid.shape)]
+    return [grid.coords[:, a].reshape(grid.shape) for a in range(len(grid.shape))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=small_grids(), c=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_coarsen_and_prolong(grid, c, seed):
+    # coarsen halves every count, and returns None exactly where build_grid
+    # refuses the halved resolution
+    coarse = geo.coarsen(grid)
+    try:
+        ref = geo.build_grid(grid.domain, [n // 2 for n in grid.shape])
+    except ValueError:
+        assert coarse is None
+    else:
+        assert coarse.domain == grid.domain and coarse.shape == ref.shape
+        assert np.array_equal(coarse.coords, ref.coords)
+    pairs = [(grid, geo.build_grid(grid.domain, [2 * n for n in grid.shape]))]
+    if coarse is not None:
+        pairs.append((coarse, grid))
+    for lo, hi in pairs:
+        # constants come back exactly
+        assert np.array_equal(geo.prolong(lo, hi, np.full(lo.n_nodes, c)),
+                              np.full(hi.n_nodes, c))
+        # a field linear along one non-periodic axis comes back to roundoff
+        # inside the coarse node range and is clamped to its end values
+        # outside it (the innermost disc ring lies inside the coarse one)
+        for a, (xc, xf) in enumerate(zip(_axis_positions(lo), _axis_positions(hi))):
+            if lo.axes[a][0]:
+                continue
+            out = geo.prolong(lo, hi, xc.ravel()).reshape(hi.shape)
+            expected = np.clip(xf, xc.min(), xc.max())
+            assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(xc))
+        if lo.is_polar:
+            # the angle wraps: fine angles past the last coarse column
+            # interpolate toward column 0
+            col = np.random.default_rng(seed).standard_normal(lo.shape[1])
+            out = geo.prolong(lo, hi, np.tile(col, lo.shape[0])).reshape(hi.shape)
+            pos = hi.polar["thetas"] / lo.polar["dtheta"]
+            k = np.minimum(np.floor(pos).astype(int), lo.shape[1] - 1)
+            t = pos - k
+            expected = col[k] + t * (col[(k + 1) % lo.shape[1]] - col[k])
+            assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(col))
+
+
 def test_gradient_magnitude_linear(disc_grid):
     gm = geo.gradient_magnitude(disc_grid, disc_grid.x1)
     assert np.max(np.abs(gm - 1.0)) <= 0.02
