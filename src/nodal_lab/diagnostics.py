@@ -165,28 +165,40 @@ def _polarization_defect(grid: Grid, u: np.ndarray, toward: np.ndarray) -> float
 
     Hyperplane h, at angle a = h pi/n_theta, maps column k to its mirror
     m = (h - k) mod n_theta, and its positive side, sin(theta_k - a) > 0, is
-    the contiguous range h < 2k < h + n_theta, whose mirrors are a reversed
-    contiguous range of [P P].  The rearrangement moves both ends of a pair
-    {k, m} by relu(o (P_m - P_k)), with o = -1 when toward points to the
-    negative side, and fixes the columns on the hyperplane, so the squared
-    norm is twice the sum over the positive side: nr n_theta^2 / 2
+    the contiguous range h < 2k < h + n_theta.  The rearrangement moves both
+    ends of a pair {k, m} by relu(o (P_m - P_k)), with o = -1 when toward
+    points to the negative side, and fixes the columns on the hyperplane, so
+    the squared norm is twice the sum over the positive side: nr n_theta^2 / 2
     subtractions in all, and no rearranged field.
+
+    The angle columns are laid out as rows, cols = P^T, and the mirrors as
+    the rows of the doubled copy [P^T; P^T] in reverse order, so that both
+    the positive side and its mirrors are one contiguous forward slice.  Each hyperplane's
+    differences are taken, clipped and squared in one reused buffer, then
+    weighted and summed by one dot; subtracting before weighting keeps the
+    defect exact on near-tied pairs.
     """
     nr, nth = grid.shape
-    profiles = u.reshape(nr, nth)
-    doubled = np.concatenate((profiles, profiles), axis=1)
-    w = grid.weights[::nth]                     # constant on each ring
+    cols = np.ascontiguousarray(u.reshape(nr, nth).T)
+    mirrors = np.concatenate((cols, cols))[::-1].copy()
+    w = np.tile(grid.weights[::nth], nth // 2)  # one weight per ring, per column
+    buf = np.empty(w.size)
     worst = 0.0
     for hid in range(nth):
         lo, hi = hid // 2 + 1, (hid + nth + 1) // 2
-        mirror, cols = doubled[:, hid + nth - lo:hid + nth - hi:-1], profiles[:, lo:hi]
+        side = cols[lo:hi].ravel()
+        mirror = mirrors[nth - 1 - hid + lo:nth - 1 - hid + hi].ravel()
+        f = buf[:side.size]
         alpha = hid * math.pi / nth
         normal = np.array([-math.sin(alpha), math.cos(alpha)])
         # the differences that u_H - u holds, squared before weighting
-        f = cols - mirror if float(np.dot(toward, normal)) < 0 else mirror - cols
+        if float(np.dot(toward, normal)) < 0:
+            np.subtract(side, mirror, out=f)
+        else:
+            np.subtract(mirror, side, out=f)
         np.maximum(f, 0.0, out=f)
-        f *= f
-        worst = max(worst, float(w @ f.sum(axis=1)))
+        np.multiply(f, f, out=f)
+        worst = max(worst, float(np.dot(f, w[:f.size])))
     return math.sqrt(2.0 * worst)
 
 

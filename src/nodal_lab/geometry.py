@@ -355,7 +355,10 @@ def _axis_nodes(grid: Grid) -> list[np.ndarray]:
     box axis, the ring radii and angles on polar grids."""
     if grid.is_polar:
         return [grid.polar["ring_radii"], grid.polar["thetas"]]
-    return [np.unique(x) for x in grid.coords.T]
+    # sorted, then every value that differs from its predecessor: np.unique's
+    # result without its import of numpy.ma
+    return [x[np.concatenate(([True], x[1:] != x[:-1]))]
+            for x in np.sort(grid.coords.T, axis=1)]
 
 
 def prolong(coarse: Grid, fine: Grid, u: np.ndarray) -> np.ndarray:

@@ -384,7 +384,8 @@ def _rescaled(q: float, n_dim: int, segments: list, u0: float, s1: float) -> Rad
     segments, at 4097 uniform radii from 1e-8 to 1 and at the crossing
     radii, where u is 0."""
     crossings = np.array([seg[1] for seg in segments[:-1]]) / s1
-    rr = np.unique(np.concatenate([np.linspace(_R_START, 1.0, _N_SAMPLES + 1), crossings]))
+    rr = np.sort(np.concatenate([np.linspace(_R_START, 1.0, _N_SAMPLES + 1), crossings]))
+    rr = rr[np.concatenate(([True], rr[1:] != rr[:-1]))]   # np.unique loads numpy.ma
     ss = s1 * rr
     vv = np.empty((2, rr.size))
     for lo, hi, sign, dense in segments:

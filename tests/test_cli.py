@@ -267,6 +267,23 @@ def test_radial_and_bounds_leave_scipy_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
+def test_radial_and_coarsened_solve_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.4), about 17 ms of a fresh
+    # process; radial's sampler and the box grids' axis nodes, which the
+    # coarse-to-fine multistart reads, sort and mask instead
+    child = ("import json, sys\n"
+             "from nodal_lab.cli import main\n"
+             f"out = {str(tmp_path)!r}\n"
+             "rcs = [main(['radial', '--N', '2', '--q', '1', '--out', out + '/r']),\n"
+             "       main(['solve', '--domain', 'rectangle', '--q', '1.5', '--n', '16',\n"
+             "             '--starts', '2', '--out', out + '/s'])]\n"
+             "levels = json.load(open(out + '/s/report.json'))['levels']\n"
+             "print(rcs, len(levels), 'numpy.ma' in sys.modules)\n")
+    proc = run_child("-c", child)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] 2 False"
+
+
 def test_radial_command(tmp_path, capsys):
     out = tmp_path / "rad"
     assert run(["radial", "--N", 2, "--q", 1, "--out", out]) == 0

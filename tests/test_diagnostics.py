@@ -254,15 +254,19 @@ def test_foliated_schwarz_verdict_is_scale_invariant():
 def polarization_cases(draw):
     """A polar grid, a field and an axis.  Fields: normal values; the same
     rounded, so that pairs tie; symmetric under one hyperplane's reflection;
-    or nonincreasing on every ring in the angular distance from the axis,
-    which no polarization toward the axis moves.  Axes: any angle, or a
-    multiple of pi/(2 n_theta), which lies on a hyperplane (h pi/n_theta) or
-    along one's normal (h pi/n_theta +- pi/2)."""
+    nonincreasing on every ring in the angular distance from the axis,
+    which no polarization toward the axis moves; or near-tie, such a
+    profile with the axis on a node column plus 1e-9 noise, whose defect
+    is made of differences 1e-9 of the values (a defect that weights the
+    profiles before subtracting them is off by 1e-8 to 1e-7 relative).  Axes:
+    any angle, or a multiple of pi/(2 n_theta), which lies on a hyperplane
+    (h pi/n_theta) or along one's normal (h pi/n_theta +- pi/2)."""
     grid = draw(small_grids().filter(lambda g: g.is_polar))
     nr, nth = grid.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("normal", "rounded", "symmetric", "monotone")))
+    kind = draw(st.sampled_from(("normal", "rounded", "symmetric", "monotone", "near-tie")))
     step = draw(st.integers(0, 4 * nth - 1) if kind == "monotone"
+                else st.integers(0, nth - 1).map(lambda k: 4 * k) if kind == "near-tie"
                 else st.none() | st.integers(0, 4 * nth - 1))
     axis = draw(st.floats(-math.pi, math.pi)) if step is None else step * math.pi / (2 * nth)
     u = rng.standard_normal(grid.n_nodes)
@@ -270,11 +274,13 @@ def polarization_cases(draw):
         u = np.round(u)
     elif kind == "symmetric":
         u = u + geo.reflect(grid, u, draw(st.integers(0, nth - 1)))
-    elif kind == "monotone":
+    elif kind in ("monotone", "near-tie"):
         # column k sits at 4k units of pi/(2 n_theta): distances are integers
         gap = (4 * np.arange(nth) - step) % (4 * nth)
         dist = np.minimum(gap, 4 * nth - gap)
         u = (rng.standard_normal((nr, 1)) - rng.random((nr, 1)) * dist).ravel()
+        if kind == "near-tie":
+            u += 1e-9 * rng.standard_normal(grid.n_nodes)
     return grid, u, axis, kind
 
 
@@ -351,6 +357,19 @@ def test_csv_writers_match_csv_module(tmp_path):
             wr.writerows([f"{v:.17g}" if isinstance(v, float) else
                           int(v) if isinstance(v, bool) else v for v in row]
                          for row in rows)
+        assert got.read_bytes() == ref.read_bytes()
+
+    # the writer formats blocks of rows: a table over two blocks long, the
+    # extreme values included and a short last block; rows from a one-shot
+    # generator; a header and no rows
+    n = 2 * nodal_lab._BLOCK + 3
+    col = np.resize(vals, n) * np.resize([1.0, -7.0, 0.5], n)
+    cases = [(["r", "u"], [col, col[::-1]], list(zip(col.tolist(), col[::-1].tolist()))),
+             (["value"], [col], ((v,) for v in col.tolist())),
+             (["delta", "measure"], [[], []], [])]
+    for header, columns, rows in cases:
+        nodal_lab.write_table(got, ",".join(header), rows, ",".join(["%.17g"] * len(header)))
+        _csv_module_reference(ref, header, columns)
         assert got.read_bytes() == ref.read_bytes()
 
 
