@@ -9,6 +9,7 @@ identical seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -246,11 +247,6 @@ def cmd_verify(args) -> int:
           and res.bracket_violation <= MAX_BRACKET
           and res.flux_norm <= MAX_FLUX
           and check.residual <= MAX_CONSTRAINT * grid.domain.measure)
-    if grid.is_polar:
-        fs = diagnostics.foliated_schwarz_check(grid, u)
-        print(f"nodal_domains={diagnostics.nodal_domains(grid, u)} "
-              f"radiality_deviation={fs.radiality_deviation:.3f} "
-              f"foliated_schwarz={fs.passed}")
     print("verify:", "ok" if ok else "failed thresholds")
     return 0 if ok else 2
 
@@ -297,7 +293,8 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
                    help="JSON file with RunConfig values")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodal-lab",
         description="Least-energy sign-changing solutions of the sublinear "
@@ -317,16 +314,19 @@ def main(argv=None) -> int:
     p_bnd.add_argument("--n-max", type=int, default=10)
     p_bnd.add_argument("--out", type=str, default="out")
 
-    p_ver = sub.add_parser("verify", help="re-run diagnostics on a stored field")
+    p_ver = sub.add_parser("verify", help="check a stored field against its report")
     p_ver.add_argument("report", type=str, help="path to a solve report JSON")
 
     p_swp = sub.add_parser("sweep", help="exponent continuation study")
     p_swp.add_argument("--q-list", type=str, required=True,
                        help="descending comma-separated exponents in [1, 2)")
     _add_solve_args(p_swp)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:           # usage errors exit 1, --help exits 0
         return 1 if exc.code else 0
     handler = {"solve": cmd_solve, "radial": cmd_radial, "bounds": cmd_bounds,

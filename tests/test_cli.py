@@ -81,6 +81,25 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: nodal-lab verify")
 
 
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser per process: a flag given to one call must not
+    # carry over to the next, and usage errors and --help keep their codes
+    args = ["--domain", "interval", "--n", 64, "--starts", 1]
+    assert run(["solve", "--q", 1.5, *args, "--out", tmp_path / "a"]) == 0
+    assert run(["solve", *args, "--out", tmp_path / "b"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"q": 1.25}')
+    assert run(["solve", "--config", cfg, *args, "--out", tmp_path / "c"]) == 0
+    for name, q in (("a", 1.5), ("b", RunConfig().q), ("c", 1.25)):
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["q"] == report["config"]["q"] == q, name
+    capsys.readouterr()
+    assert main(["solve", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: nodal-lab solve")
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": "disc", "qq": 3}')
@@ -477,3 +496,35 @@ def test_verify_header_only_dump(tmp_path):
     assert proc.returncode == 1
     assert "has no rows" in proc.stderr
     assert "UserWarning" not in proc.stderr
+
+
+def test_verify_reads_symmetry_and_domains_from_solve(tmp_path, capsys, monkeypatch):
+    # solve writes the nodal-domain count and the foliated Schwarz verdict
+    # into diagnostics.json; verify checks the dump and recomputes neither
+    from nodal_lab import diagnostics
+
+    out = tmp_path / "disc"
+    assert run(["solve", "--domain", "disc", "--q", 1.5, "--nr", 16, "--ntheta", 32,
+                "--starts", 1, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    res = json.loads((out / "diagnostics.json").read_text())["pde_residual"]
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("verify recomputed a solve diagnostic")
+
+    monkeypatch.setattr(diagnostics, "foliated_schwarz_check", fail)
+    monkeypatch.setattr(diagnostics, "nodal_domains", fail)
+    assert run(["verify", out / "report.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"interior_norm={res['interior_norm']:.3e} "
+        f"bracket_violation={res['bracket_violation']:.3e} "
+        f"flux_norm={res['flux_norm']:.3e} "
+        f"constraint_residual={report['constraint_residual']:.3e}",
+        "verify: ok"]
+
+    rows = (out / "field.csv").read_text().splitlines()
+    rows[1] = "%.17g" % (2.0 * float(rows[1]))
+    (out / "field.csv").write_text("\n".join(rows) + "\n")
+    assert run(["verify", out / "report.json"]) == 1
+    assert "has energy" in capsys.readouterr().err
