@@ -145,7 +145,7 @@ def _angular_monotonicity_violation(grid: Grid, u: np.ndarray,
     """Largest increase of any ring profile with growing angular distance
     from the axis (ties in distance are not compared)."""
     profiles = u.reshape(grid.shape)
-    thetas = grid.polar["thetas"]
+    thetas = grid.axis_nodes[1]
     d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
     order = np.argsort(d, kind="stable")
     ds = d[order]
@@ -231,7 +231,7 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
                               polarization_defect=0.0,
                               radiality_deviation=dev, passed=True)
 
-    thetas = grid.polar["thetas"]
+    thetas = grid.axis_nodes[1]
     nr = grid.shape[0]
     # projecting onto e^{+i theta} puts the axis at the argument of the mode
     phase = np.tile(np.exp(1j * thetas), nr)

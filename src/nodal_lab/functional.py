@@ -325,7 +325,7 @@ def rescale_bump(spec: ProblemSpec, v: np.ndarray, r: float,
         # would inject O(1) slope noise into the rescaled field
         jsrc = np.clip(np.floor(rho[inside] / dr - 1e-9).astype(int), 0, nr - 1)
         theta = np.arctan2(dy[inside], dx[inside])
-        dtheta = g.polar["dtheta"]
+        dtheta = 2.0 * math.pi / ntheta
         ksrc = np.floor(theta / dtheta + 0.5 - 1e-9).astype(int) % ntheta
         amp = r ** (2.0 / (2.0 - spec.q))
         out[inside] = amp * v.reshape(nr, ntheta)[jsrc, ksrc]

@@ -1,5 +1,4 @@
-"""Structured grids with quadrature weights, a discrete Dirichlet form and
-exact reflection symmetries.
+"""Structured grids with quadrature weights and a discrete Dirichlet form.
 
 Supported domains: symmetric interval (-L, L), origin-centered rectangle,
 disc, annulus.  Every grid is a tensor product of its axes, and the
@@ -107,9 +106,11 @@ class Grid:
     Nodes carry positive quadrature weights summing to the domain measure
     and are numbered row-major over `shape`: (n,) on an interval, (n1, n2)
     on a rectangle and (n_r, n_theta) rings by angles on polar grids, so
-    np.arange(n_nodes).reshape(shape) is the node-index array every
-    reflection reads, and on a polar grid row i of u.reshape(shape) is ring
-    i's profile, ordered by angle.
+    np.arange(n_nodes).reshape(shape) is the node-index array, and on a
+    polar grid row i of u.reshape(shape) is ring i's profile, ordered by
+    angle.  axis_nodes[a] holds the increasing node positions along axis a:
+    the coordinate of a box axis, the ring radii and then the angles on
+    polar grids.
 
     axes[a] = (periodic, face, length) describes the edges along axis a:
     every node of the index array is joined to its successor along a,
@@ -122,15 +123,15 @@ class Grid:
     assembles K.  Construct via build_grid().
     """
 
-    def __init__(self, domain, coords, weights, axes, shape, polar=None):
+    def __init__(self, domain, coords, weights, axes, axis_nodes):
         self.domain = domain
         self.coords = coords
         self.weights = weights
-        self.axes = axes          # per axis (periodic, face, length)
-        self.shape = shape        # row-major node layout: (n,), (n1, n2) or (n_r, n_theta)
-        self.polar = polar        # ring_radii, thetas, dtheta (disc/annulus)
+        self.axes = axes              # per axis (periodic, face, length)
+        self.axis_nodes = axis_nodes  # per axis its node positions, increasing
+        self.shape = tuple(len(x) for x in axis_nodes)
         self.n_nodes = coords.shape[0]
-        for a in (coords, weights):
+        for a in (coords, weights, *axis_nodes):
             a.setflags(write=False)
         self._h1_solve = None
 
@@ -142,7 +143,7 @@ class Grid:
 
     @property
     def is_polar(self) -> bool:
-        return self.polar is not None
+        return self.axes[-1][0]
 
     @property
     def resolution(self) -> dict:
@@ -267,7 +268,7 @@ def _build_box(spec: DomainSpec, counts: tuple[int, ...]) -> Grid:
     axes = [(False, math.prod((w for b, w in enumerate(ws) if b != a), start=1.0), dx)
             for a, dx in enumerate(dxs)]
     coords = np.column_stack([c.ravel() for c in np.meshgrid(*xs, indexing="ij")])
-    return Grid(spec, coords, math.prod(ws).ravel(), axes, shape=counts)
+    return Grid(spec, coords, math.prod(ws).ravel(), axes, xs)
 
 
 def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
@@ -313,8 +314,7 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     # ring (periodic), metric factor 1/r per ring
     axes = [(False, face_r[:, None] * dtheta, dist_r[:, None]),
             (True, ring_width[:, None], (ring_r * dtheta)[:, None])]
-    polar = {"ring_radii": ring_r, "thetas": thetas, "dtheta": dtheta}
-    return Grid(spec, coords, w, axes, shape=(nr, ntheta), polar=polar)
+    return Grid(spec, coords, w, axes, (ring_r, thetas))
 
 
 def build_grid(spec: DomainSpec, resolution) -> Grid:
@@ -350,24 +350,13 @@ def coarsen(grid: Grid) -> Grid | None:
         return None
 
 
-def _axis_nodes(grid: Grid) -> list[np.ndarray]:
-    """The node positions along each axis, increasing: the coordinate of a
-    box axis, the ring radii and angles on polar grids."""
-    if grid.is_polar:
-        return [grid.polar["ring_radii"], grid.polar["thetas"]]
-    # sorted, then every value that differs from its predecessor: np.unique's
-    # result without its import of numpy.ma
-    return [x[np.concatenate(([True], x[1:] != x[:-1]))]
-            for x in np.sort(grid.coords.T, axis=1)]
-
-
 def prolong(coarse: Grid, fine: Grid, u: np.ndarray) -> np.ndarray:
     """A field of coarse interpolated onto fine, the same domain's grid:
     separable linear interpolation along each axis, periodic in the angle
     on polar grids and clamped at the ends of the coarse node range.  Each
     value is u_lo + t (u_hi - u_lo), so constants come back exactly."""
     u = _check_field(coarse, u).reshape(coarse.shape)
-    for a, (xc, xf) in enumerate(zip(_axis_nodes(coarse), _axis_nodes(fine))):
+    for a, (xc, xf) in enumerate(zip(coarse.axis_nodes, fine.axis_nodes)):
         if coarse.axes[a][0]:             # periodic: the first slice again at 2 pi
             xc = np.append(xc, 2.0 * math.pi)
             u = np.concatenate([u, u.take([0], axis=a)], axis=a)
@@ -470,26 +459,6 @@ def laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
         s = math.prod(grid.shape[a + 1:])
         ku[s:] -= flux.reshape(-1)[:-s]
     return np.divide(ku, grid.weights, out=ku)
-
-
-def reflect(grid: Grid, u: np.ndarray, hid: int) -> np.ndarray:
-    """Compose a field with the reflection across hyperplane hid (exact
-    node permutation, no interpolation).
-
-    Interval: hid 0 is x -> -x.  Rectangle: hid 0 flips x1, hid 1 flips x2;
-    both flip axis hid of the field's node array.  Polar grids: hid k
-    reflects across the line at angle k*pi/ntheta: angle column j of the
-    result is column (k - j) mod ntheta of u.
-    """
-    u = _check_field(grid, u).reshape(grid.shape)
-    if grid.is_polar:
-        ntheta = grid.shape[1]
-        if not 0 <= hid < ntheta:
-            raise ValueError(f"unsupported-hyperplane: id {hid} on polar grid")
-        return u[:, (hid - np.arange(ntheta)) % ntheta].ravel()
-    if not 0 <= hid < len(grid.shape):
-        raise ValueError(f"unsupported-hyperplane: id {hid} on {grid.kind}")
-    return np.flip(u, axis=hid).ravel()
 
 
 def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:

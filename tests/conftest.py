@@ -61,6 +61,21 @@ def reference_edges(grid):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
+def reflect(grid, u, hid):
+    """A field composed with the reflection across hyperplane hid, an exact
+    node permutation.  Interval: hid 0 is x -> -x.  Rectangle: hid 0 flips
+    x1, hid 1 flips x2; both flip axis hid of the node array.  Polar grids:
+    hid k reflects across the line at angle k pi/n_theta, so angle column j
+    of the result is column (k - j) mod n_theta of u."""
+    u = np.asarray(u, dtype=float).reshape(grid.shape)
+    n_hyper = grid.shape[1] if grid.is_polar else len(grid.shape)
+    if not 0 <= hid < n_hyper:
+        raise ValueError(f"unsupported-hyperplane: id {hid} on {grid.kind}")
+    if grid.is_polar:
+        return u[:, (hid - np.arange(n_hyper)) % n_hyper].ravel()
+    return np.flip(u, axis=hid).ravel()
+
+
 def polarize(grid, u, hid, toward=None):
     """The two-point rearrangement across hyperplane hid: max(u, u o sigma)
     on the halfspace that toward points into (default: the positive side of
@@ -68,7 +83,7 @@ def polarize(grid, u, hid, toward=None):
     e_hid on interval and rectangle grids, (-sin a, cos a) with
     a = hid pi/n_theta on polar grids; a node's side is the sign of its
     coordinates' dot product with it."""
-    ur = geometry.reflect(grid, u, hid)
+    ur = reflect(grid, u, hid)
     if grid.is_polar:
         alpha = hid * math.pi / grid.shape[1]
         normal = np.array([-math.sin(alpha), math.cos(alpha)])

@@ -14,7 +14,7 @@ from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
 
-from conftest import (polar_coords, polarize, reference_edges, small_grids,
+from conftest import (polar_coords, polarize, reference_edges, reflect, small_grids,
                       smooth_random_field)
 
 
@@ -51,7 +51,7 @@ def test_nodal_domains_examples(disc_grid):
     rect = geo.build_grid(geo.DomainSpec.rectangle(1.0, 1.0), (16, 16))
     assert dg.nodal_domains(rect, rect.coords[:, 0]) == 2
     assert dg.nodal_domains(rect, np.ones(rect.n_nodes)) == 1
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
+    r = np.repeat(disc_grid.axis_nodes[0], disc_grid.shape[1])
     u = rad._closed_form_funcs(2)[0](r)
     assert dg.nodal_domains(disc_grid, u) == 2
 
@@ -60,7 +60,7 @@ def test_nodal_domains_invariances(disc_grid, disc_min_q1):
     u = disc_min_q1.u
     n = dg.nodal_domains(disc_grid, u)
     assert dg.nodal_domains(disc_grid, -u) == n
-    assert dg.nodal_domains(disc_grid, geo.reflect(disc_grid, u, 13)) == n
+    assert dg.nodal_domains(disc_grid, reflect(disc_grid, u, 13)) == n
 
 
 def test_nodal_domains_four_quadrants(disc_grid):
@@ -176,7 +176,7 @@ def test_nodal_domains_random_signs_match_csgraph(grid, seed, share, positive):
 
 
 def test_radiality_deviation(disc_grid):
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
+    r = np.repeat(disc_grid.axis_nodes[0], disc_grid.shape[1])
     assert dg.radiality_deviation(disc_grid, 1 - r * r) == pytest.approx(0.0, abs=1e-15)
     assert dg.radiality_deviation(disc_grid, disc_grid.x1) == pytest.approx(1.0, rel=1e-12)
     assert dg.radiality_deviation(disc_grid, np.zeros(disc_grid.n_nodes)) == 0.0
@@ -207,7 +207,7 @@ def test_foliated_schwarz_two_bump_fails(disc_grid):
 
 
 def test_foliated_schwarz_radial_passes(disc_grid):
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
+    r = np.repeat(disc_grid.axis_nodes[0], disc_grid.shape[1])
     rep = dg.foliated_schwarz_check(disc_grid, 1 - r * r)
     assert rep.passed and rep.axis_angle is None and rep.axis_method == "radial"
 
@@ -273,7 +273,7 @@ def polarization_cases(draw):
     if kind == "rounded":
         u = np.round(u)
     elif kind == "symmetric":
-        u = u + geo.reflect(grid, u, draw(st.integers(0, nth - 1)))
+        u = u + reflect(grid, u, draw(st.integers(0, nth - 1)))
     elif kind in ("monotone", "near-tie"):
         # column k sits at 4k units of pi/(2 n_theta): distances are integers
         gap = (4 * np.arange(nth) - step) % (4 * nth)
@@ -377,7 +377,7 @@ def test_pde_residual_closed_form_first_order():
     norms = []
     for res in [(64, 128), (128, 256)]:
         g = geo.build_grid(geo.DomainSpec.disc(1.0), res)
-        r = np.repeat(g.polar["ring_radii"], g.shape[1])
+        r = np.repeat(g.axis_nodes[0], g.shape[1])
         u = rad._closed_form_funcs(2)[0](r)
         norms.append(dg.pde_residual(g, u, 1.0).interior_norm)
     assert norms[1] <= norms[0] / 1.7          # first order or better

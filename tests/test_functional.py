@@ -10,7 +10,7 @@ from nodal_lab import functional as fn
 from nodal_lab import geometry as geo
 from nodal_lab import minimize as mz
 
-from conftest import (PROP_GRID, polar_coords, polarize, property_fields,
+from conftest import (PROP_GRID, polar_coords, polarize, property_fields, reflect,
                       small_grids, smooth_random_field)
 
 
@@ -311,7 +311,7 @@ def test_c_shift_reaches_roots_next_to_a_zero_plateau(q, share, seed):
 
 
 def _x1_flip(grid):
-    """The hyperplane id of the reflection x1 -> -x1 (see geometry.reflect)."""
+    """The hyperplane id of the reflection x1 -> -x1 (see conftest.reflect)."""
     return grid.shape[1] // 2 if grid.is_polar else 0
 
 
@@ -325,7 +325,7 @@ def test_c_shift_q1_of_odd_fields(grid, seed, k):
     assume(grid.is_polar or grid.shape[0] % 2 == 0)
     spec = fn.ProblemSpec(grid, 1.0)
     v = smooth_random_field(grid, np.random.default_rng(seed))
-    u = v - geo.reflect(grid, v, _x1_flip(grid))
+    u = v - reflect(grid, v, _x1_flip(grid))
     c = fn.c_shift(spec, u)
     assert fn.c_shift(spec, -u) == -c
     uk = u + k
@@ -528,7 +528,7 @@ def test_in_constraint_examples(interval_grid, disc_grid):
     ring[1:nth // 2] = np.sin(np.arange(1, nth // 2) * 2 * math.pi / nth)
     ring[nth // 2 + 1:] = -ring[1:nth // 2][::-1]
     u = np.tile(ring, disc_grid.shape[0])
-    u *= np.repeat(disc_grid.polar["ring_radii"], nth)
+    u *= np.repeat(disc_grid.axis_nodes[0], nth)
     p15 = fn.ProblemSpec(disc_grid, 1.5)
     chk = fn.in_constraint(p15, u)
     assert chk.member and chk.residual <= 1e-12

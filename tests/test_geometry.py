@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
-from conftest import reference_edges, small_grids
+from conftest import reference_edges, reflect, small_grids
 
 
 def test_domain_measures():
@@ -93,41 +93,41 @@ def test_size_mismatch_rejected(disc_grid):
 
 def test_reflect_x1_axis(disc_grid):
     hid = disc_grid.shape[1] // 2    # line at angle pi/2 = {x1 = 0}
-    out = geo.reflect(disc_grid, disc_grid.x1, hid)
+    out = reflect(disc_grid, disc_grid.x1, hid)
     assert np.max(np.abs(out + disc_grid.x1)) <= 1e-14
 
 
 def test_reflect_radial_invariance(disc_grid):
     # exactly ring-constant field (hypot-based radii differ at ulp level)
-    r = np.repeat(disc_grid.polar["ring_radii"], disc_grid.shape[1])
+    r = np.repeat(disc_grid.axis_nodes[0], disc_grid.shape[1])
     for hid in (0, 3, 64):
-        assert np.array_equal(geo.reflect(disc_grid, 1.0 - r * r, hid), 1.0 - r * r)
+        assert np.array_equal(reflect(disc_grid, 1.0 - r * r, hid), 1.0 - r * r)
 
 
 def test_reflect_involution_bit_exact(disc_grid):
     rng = np.random.default_rng(5)
     u = rng.standard_normal(disc_grid.n_nodes)
     for hid in (0, 1, 17):
-        assert np.array_equal(geo.reflect(disc_grid, geo.reflect(disc_grid, u, hid), hid), u)
+        assert np.array_equal(reflect(disc_grid, reflect(disc_grid, u, hid), hid), u)
 
 
 def test_reflect_preserves_quadrature_and_energy(disc_grid):
     rng = np.random.default_rng(6)
     u = rng.standard_normal(disc_grid.n_nodes)
-    r = geo.reflect(disc_grid, u, 9)
+    r = reflect(disc_grid, u, 9)
     assert geo.integrate(disc_grid, r) == pytest.approx(
         geo.integrate(disc_grid, u), rel=1e-12, abs=1e-12)
     assert geo.dirichlet_energy(disc_grid, r) == pytest.approx(
         geo.dirichlet_energy(disc_grid, u), rel=1e-12)
-    perm = geo.reflect(disc_grid, np.arange(disc_grid.n_nodes), 9).astype(int)
+    perm = reflect(disc_grid, np.arange(disc_grid.n_nodes), 9).astype(int)
     assert np.array_equal(disc_grid.weights[perm], disc_grid.weights)
 
 
 def test_reflect_unsupported_hyperplane(disc_grid, interval_grid):
     with pytest.raises(ValueError):
-        geo.reflect(disc_grid, disc_grid.x1, 128)
+        reflect(disc_grid, disc_grid.x1, 128)
     with pytest.raises(ValueError):
-        geo.reflect(interval_grid, interval_grid.coords[:, 0], 1)
+        reflect(interval_grid, interval_grid.coords[:, 0], 1)
 
 
 def test_rectangle_grid_and_reflections():
@@ -135,9 +135,9 @@ def test_rectangle_grid_and_reflections():
     assert np.sum(g.weights) == pytest.approx(2.0, rel=1e-13)
     x = g.coords[:, 0]
     assert geo.dirichlet_energy(g, x) == pytest.approx(2.0, rel=1e-12)
-    assert np.max(np.abs(geo.reflect(g, x, 0) + x)) <= 1e-14
+    assert np.max(np.abs(reflect(g, x, 0) + x)) <= 1e-14
     y = g.coords[:, 1]
-    assert np.max(np.abs(geo.reflect(g, y, 1) + y)) <= 1e-14
+    assert np.max(np.abs(reflect(g, y, 1) + y)) <= 1e-14
 
 
 def _reference_perm(grid, hid):
@@ -157,7 +157,7 @@ def _reference_perm(grid, hid):
 def _reference_monotonicity(grid, u, axis):
     """Angular monotonicity violation computed ring by ring."""
     profiles = u.reshape(grid.resolution["nr"], grid.resolution["ntheta"])
-    thetas = grid.polar["thetas"]
+    thetas = grid.axis_nodes[1]
     d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
     order = np.argsort(d, kind="stable")
     ds = d[order]
@@ -191,7 +191,7 @@ def reflection_cases(draw):
 def test_reflections_match_index_arithmetic(case, axis):
     grid, hid, u = case
     n = grid.n_nodes
-    perm = geo.reflect(grid, np.arange(n), hid).astype(int)
+    perm = reflect(grid, np.arange(n), hid).astype(int)
     assert np.array_equal(np.sort(perm), np.arange(n))
     assert np.array_equal(perm[perm], np.arange(n))
     assert np.array_equal(perm, _reference_perm(grid, hid))
@@ -337,10 +337,26 @@ def _axis_positions(grid):
     """Per axis, every node's position along it, shaped like the node
     array: the coordinate itself on box grids, the ring radius and then the
     angle on polar grids."""
+    return [np.broadcast_to(x.reshape(-1, *[1] * (len(grid.shape) - 1 - a)), grid.shape)
+            for a, x in enumerate(grid.axis_nodes)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=small_grids())
+def test_axis_nodes_describe_the_grid(grid):
+    assert len(grid.axis_nodes) == len(grid.shape) == len(grid.axes)
+    for a, x in enumerate(grid.axis_nodes):
+        assert x.shape == (grid.shape[a],)
+        assert np.all(np.diff(x) > 0)
+        assert not x.flags.writeable
+        if not grid.is_polar:
+            assert np.array_equal(grid.coords[:, a].reshape(grid.shape),
+                                  _axis_positions(grid)[a])
     if grid.is_polar:
-        r, th = grid.polar["ring_radii"], grid.polar["thetas"]
-        return [np.broadcast_to(r[:, None], grid.shape), np.broadcast_to(th, grid.shape)]
-    return [grid.coords[:, a].reshape(grid.shape) for a in range(len(grid.shape))]
+        # the products _build_polar forms, node by node in the flat order
+        r, th = grid.axis_nodes
+        rr, tt = np.repeat(r, th.size), np.tile(th, r.size)
+        assert np.array_equal(grid.coords, np.column_stack([rr * np.cos(tt), rr * np.sin(tt)]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -377,7 +393,7 @@ def test_coarsen_and_prolong(grid, c, seed):
             # interpolate toward column 0
             col = np.random.default_rng(seed).standard_normal(lo.shape[1])
             out = geo.prolong(lo, hi, np.tile(col, lo.shape[0])).reshape(hi.shape)
-            pos = hi.polar["thetas"] / lo.polar["dtheta"]
+            pos = hi.axis_nodes[1] / (2.0 * math.pi / lo.shape[1])
             k = np.minimum(np.floor(pos).astype(int), lo.shape[1] - 1)
             t = pos - k
             expected = col[k] + t * (col[(k + 1) % lo.shape[1]] - col[k])
@@ -432,12 +448,12 @@ def test_disc_node_layout(disc_grid):
     # last ring on the boundary (gradient coverage up to the wall)
     nr = disc_grid.shape[0]
     dr = 1.0 / (nr - 0.5)
-    rr = disc_grid.polar["ring_radii"]
+    rr = disc_grid.axis_nodes[0]
     assert np.allclose(rr[:-1], (np.arange(nr - 1) + 0.5) * dr, rtol=1e-14)
     assert rr[0] > 0.0
     assert rr[-1] == 1.0
     # row i of a field's node array is ring i, its columns ordered by angle
-    thetas = disc_grid.polar["thetas"]
+    thetas = disc_grid.axis_nodes[1]
     x, y = disc_grid.coords.T.reshape(2, *disc_grid.shape)
     assert np.allclose(x, np.outer(rr, np.cos(thetas)), rtol=0, atol=1e-14)
     assert np.allclose(y, np.outer(rr, np.sin(thetas)), rtol=0, atol=1e-14)
