@@ -175,8 +175,7 @@ def cmd_radial(args) -> int:
         "sign_changes": profile.sign_changes(),
         "residual": radial.radial_residual(profile),
     }
-    lp = radial.liouville_transform(profile)
-    payload["liouville_residual"] = radial.liouville_residual(lp)
+    payload["liouville_residual"] = radial.liouville_residual(profile)
     if q == 1.0:
         exact = radial.closed_form_q1(n_dim, r=profile.r)
         payload["closed_form_sup_error"] = float(np.max(np.abs(profile.u - exact.u)))

@@ -18,7 +18,7 @@ import numpy as np
 from . import write_table
 
 __all__ = [
-    "RadialProfile", "LiouvilleProfile", "ChainReport", "unit_ball_volume",
+    "RadialProfile", "ChainReport", "unit_ball_volume",
     "nodal_radius_q1", "closed_form_q1", "shoot", "shoot_neumann",
     "radial_residual", "liouville_transform", "liouville_residual",
     "profile_energy", "m_radial", "test_function_bound",
@@ -76,38 +76,6 @@ def nodal_radius_q1(n_dim: int) -> float:
 
 # -- closed forms (q = 1) ----------------------------------------------------
 
-def _closed_form_funcs(n_dim: int):
-    a = nodal_radius_q1(n_dim)
-    if n_dim == 2:
-        c_out = -1.0 / 8.0 - math.log(2.0) / 4.0
-
-        def u(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= a, 0.125 - 0.25 * r * r,
-                            -0.5 * np.log(np.maximum(r, 1e-300)) + 0.25 * r * r + c_out)
-
-        def du(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= a, -0.5 * r, -0.5 / r + 0.5 * r)
-    else:
-        nn = float(n_dim)
-        c_out = 2.0 ** (-2.0 / nn) * (nn + 2.0) / (nn - 2.0)
-
-        def u(r):
-            r = np.asarray(r, dtype=float)
-            inner = (a * a - r * r) / (2.0 * nn)
-            outer = (2.0 / (nn - 2.0) * np.maximum(r, 1e-300) ** (2.0 - nn)
-                     + r * r - c_out) / (2.0 * nn)
-            return np.where(r <= a, inner, outer)
-
-        def du(r):
-            r = np.asarray(r, dtype=float)
-            inner = -r / nn
-            outer = (-2.0 * np.maximum(r, 1e-300) ** (1.0 - nn) + 2.0 * r) / (2.0 * nn)
-            return np.where(r <= a, inner, outer)
-    return u, du, a
-
-
 def closed_form_q1(n_dim: int, r=None) -> RadialProfile:
     """Exact two-nodal-domain radial solution for q = 1.
 
@@ -116,9 +84,7 @@ def closed_form_q1(n_dim: int, r=None) -> RadialProfile:
     residual stencils then see the curvature jump symmetrically), plus a
     tail node at the inner cutoff where the solution is exactly quadratic.
     """
-    if n_dim < 2:
-        raise ValueError("unsupported-N: need N >= 2")
-    u_fn, du_fn, a = _closed_form_funcs(n_dim)
+    a = nodal_radius_q1(n_dim)
     if r is None:
         h = (1.0 - a) / 8192
         k_in = int(math.floor((a - _R_START) / h))
@@ -132,8 +98,20 @@ def closed_form_q1(n_dim: int, r=None) -> RadialProfile:
             left[0] = _R_START
             r = np.concatenate([left, right])
     r = np.asarray(r, dtype=float)
-    u = u_fn(r)
-    du = du_fn(r)
+    inside = r <= a
+    if n_dim == 2:
+        c_out = -1.0 / 8.0 - math.log(2.0) / 4.0
+        u = np.where(inside, 0.125 - 0.25 * r * r,
+                     -0.5 * np.log(np.maximum(r, 1e-300)) + 0.25 * r * r + c_out)
+        du = np.where(inside, -0.5 * r, -0.5 / r + 0.5 * r)
+    else:
+        nn = float(n_dim)
+        c_out = 2.0 ** (-2.0 / nn) * (nn + 2.0) / (nn - 2.0)
+        u = np.where(inside, (a * a - r * r) / (2.0 * nn),
+                     (2.0 / (nn - 2.0) * np.maximum(r, 1e-300) ** (2.0 - nn)
+                      + r * r - c_out) / (2.0 * nn))
+        du = np.where(inside, -r / nn,
+                      (-2.0 * np.maximum(r, 1e-300) ** (1.0 - nn) + 2.0 * r) / (2.0 * nn))
     # pin the interface sample to an exact zero when it is on the grid
     exact = np.isclose(r, a, rtol=0, atol=1e-15)
     u[exact] = 0.0
@@ -416,14 +394,14 @@ def shoot(q: float, n_dim: int, u0: float) -> RadialProfile:
     return _rescaled(q, n_dim, _unit_profile(q, n_dim, s1), u0, s1)
 
 
-def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8) -> RadialProfile:
+def shoot_neumann(q: float, n_dim: int) -> RadialProfile:
     """Radial solution with u'(0) = u'(1) = 0 and exactly one interior sign
     change, from the scaling law instead of a search.
 
     The unit profile v(0) = 1 is integrated once, up to its first critical
     point s* after its first zero; u'(1) = 0 then fixes u0 = s*^{-2/(2-q)},
     and the profile is the unit one rescaled (see shoot).  Raises
-    tolerance-not-met if |u'(1)| > tol and no-sign-change-in-bracket if it
+    tolerance-not-met if |u'(1)| > 1e-8 and no-sign-change-in-bracket if it
     does not change sign exactly once, or if the unit profile has no zero
     and trough before s = 1e3, or before the s beyond which u0^2, the order
     of the profile's energy, would fall below the smallest normal double
@@ -437,7 +415,7 @@ def shoot_neumann(q: float, n_dim: int, tol: float = 1e-8) -> RadialProfile:
         raise RuntimeError("no-sign-change-in-bracket: the unit profile has no "
                            f"zero and trough before r = {s_max:.3g}")
     profile = _rescaled(q, n_dim, segments, s_star ** (-2.0 / (2.0 - q)), s_star)
-    if abs(float(profile.du[-1])) > tol:
+    if abs(float(profile.du[-1])) > 1e-8:
         raise RuntimeError(f"tolerance-not-met: |u'(1)| = {abs(float(profile.du[-1])):.3e}")
     if profile.sign_changes() != 1:
         raise RuntimeError("no-sign-change-in-bracket: the Neumann profile "
@@ -486,25 +464,12 @@ def radial_residual(p: RadialProfile, zero_floor: float = 1e-12) -> float:
                        p.q, zero_floor)
 
 
-@dataclass
-class LiouvilleProfile:
-    """Transformed samples y(t) with coefficient p(t), on t in [1, inf)."""
-
-    n_dim: int
-    q: float
-    t: np.ndarray
-    y: np.ndarray
-    dy: np.ndarray
-    p: np.ndarray
-
-
-def liouville_transform(profile: RadialProfile) -> LiouvilleProfile:
+def liouville_transform(profile: RadialProfile):
     """Change of variables t = r^{2-N} (N >= 3) or t = 1 - log r (N = 2)
     turning the radial equation into y'' + p(t) |y|^{q-2} y = 0 with
-    p(t) = t^{-2(N-1)/(N-2)}/(N-2)^2, resp. exp(-2(t-1))."""
+    p(t) = t^{-2(N-1)/(N-2)}/(N-2)^2, resp. exp(-2(t-1)).  Returns the
+    samples (t, y, dy/dt, p) in increasing t, on [1, inf)."""
     nn = profile.n_dim
-    if nn < 2:
-        raise ValueError("unsupported-N: need N >= 2")
     r = profile.r
     if nn == 2:
         t = 1.0 - np.log(r)
@@ -516,15 +481,15 @@ def liouville_transform(profile: RadialProfile) -> LiouvilleProfile:
         dy = profile.du * drdt
         pt = t ** (-2.0 * (nn - 1.0) / (nn - 2.0)) / (nn - 2.0) ** 2
     order = np.argsort(t)
-    return LiouvilleProfile(n_dim=nn, q=profile.q, t=t[order], y=profile.u[order],
-                            dy=dy[order], p=pt[order])
+    return t[order], profile.u[order], dy[order], pt[order]
 
 
-def liouville_residual(lp: LiouvilleProfile) -> float:
-    """Max interior defect of y'' + p(t)|y|^{q-2} y on the transformed grid,
-    with y'' from the transformed derivative samples, by _max_defect as
-    radial_residual."""
-    return _max_defect(lp.y, _centered_diff(lp.t, lp.dy), lp.p[1:-1], lp.q, 1e-12)
+def liouville_residual(profile: RadialProfile) -> float:
+    """Max interior defect of y'' + p(t)|y|^{q-2} y on the profile's
+    transformed grid, with y'' from the transformed derivative samples, by
+    _max_defect as radial_residual."""
+    t, y, dy, pt = liouville_transform(profile)
+    return _max_defect(y, _centered_diff(t, dy), pt[1:-1], profile.q, 1e-12)
 
 
 # -- energies and bounds -------------------------------------------------------
@@ -543,7 +508,7 @@ def m_radial(n_dim: int, q: float) -> float:
 
     q = 1 evaluates the closed form: -pi(-1/16 + ln(2)/8) for N = 2 and
     -(omega_N/2)((2^{-2/N}-1)N + 2^{1-2/N})/((N-2)(N+2)) for N >= 3.
-    q > 1 integrates the energy of the profile shot to |u'(1)| <= 1e-9.
+    q > 1 integrates the energy of the profile from shoot_neumann.
     """
     _check_problem(q, n_dim)
     if q == 1.0:
@@ -552,7 +517,7 @@ def m_radial(n_dim: int, q: float) -> float:
         nn = float(n_dim)
         num = (2.0 ** (-2.0 / nn) - 1.0) * nn + 2.0 ** (1.0 - 2.0 / nn)
         return -0.5 * unit_ball_volume(n_dim) * num / ((nn - 2.0) * (nn + 2.0))
-    return profile_energy(shoot_neumann(q, n_dim, tol=1e-9))
+    return profile_energy(shoot_neumann(q, n_dim))
 
 
 def test_function_bound(n_dim: int, s: float) -> float:
@@ -576,7 +541,6 @@ class ChainReport:
     h3: float             # (5 * 2^(1/3) - 7) / 3
     h3_cubic_ok: bool | None  # N^3 h(3) + 4N - 8 < 0, the sufficient
                               # inequality; None for N = 2
-    h3_below_minus_one: bool
 
 
 def check_inequality_chain(n_dim: int) -> ChainReport:
@@ -588,8 +552,7 @@ def check_inequality_chain(n_dim: int) -> ChainReport:
     h(t) = (2^{-2/t} - 1) t + 2^{-2/t} + (2/t)(1 - 2^{-2/t}), and whether it
     satisfies N^3 h(3) + 4N - 8 < 0, which (h, though not monotone, being
     largest on [3, inf) at t = 3) is what the gap reduces to for N >= 3
-    (None for N = 2); the stricter h(3) < -1 is false and is reported as
-    such.
+    (None for N = 2).  The stricter h(3) < -1 is false, since h(3) ~ -0.2335.
     """
     if n_dim < 2:
         raise ValueError("unsupported-N: the chain needs N >= 2")
@@ -597,8 +560,7 @@ def check_inequality_chain(n_dim: int) -> ChainReport:
     mr = m_radial(n_dim, 1.0)
     cubic = n_dim**3 * H3 + 4.0 * n_dim - 8.0
     return ChainReport(n_dim=n_dim, upper=upper, m_r=mr, holds=upper < mr,
-                       h3=H3, h3_cubic_ok=cubic < 0.0 if n_dim > 2 else None,
-                       h3_below_minus_one=H3 < -1.0)
+                       h3=H3, h3_cubic_ok=cubic < 0.0 if n_dim > 2 else None)
 
 
 def h_energy_monotone(p: RadialProfile) -> dict:

@@ -372,8 +372,7 @@ def test_bounds_command(tmp_path, capsys):
 
 def test_verify_closed_form_radial_on_disc(tmp_path):
     grid = geo.build_grid(geo.DomainSpec.disc(1.0), (64, 128))
-    r = np.repeat(grid.axis_nodes[0], grid.shape[1])
-    u = rad._closed_form_funcs(2)[0](r)
+    u = np.repeat(rad.closed_form_q1(2, r=grid.axis_nodes[0]).u, grid.shape[1])
     out = tmp_path / "cf"
     out.mkdir()
     geo.write_field_csv(grid, u, out / "field.csv")

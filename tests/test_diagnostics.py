@@ -51,8 +51,7 @@ def test_nodal_domains_examples(disc_grid):
     rect = geo.build_grid(geo.DomainSpec.rectangle(1.0, 1.0), (16, 16))
     assert dg.nodal_domains(rect, rect.coords[:, 0]) == 2
     assert dg.nodal_domains(rect, np.ones(rect.n_nodes)) == 1
-    r = np.repeat(disc_grid.axis_nodes[0], disc_grid.shape[1])
-    u = rad._closed_form_funcs(2)[0](r)
+    u = np.repeat(rad.closed_form_q1(2, r=disc_grid.axis_nodes[0]).u, disc_grid.shape[1])
     assert dg.nodal_domains(disc_grid, u) == 2
 
 
@@ -377,8 +376,7 @@ def test_pde_residual_closed_form_first_order():
     norms = []
     for res in [(64, 128), (128, 256)]:
         g = geo.build_grid(geo.DomainSpec.disc(1.0), res)
-        r = np.repeat(g.axis_nodes[0], g.shape[1])
-        u = rad._closed_form_funcs(2)[0](r)
+        u = np.repeat(rad.closed_form_q1(2, r=g.axis_nodes[0]).u, g.shape[1])
         norms.append(dg.pde_residual(g, u, 1.0).interior_norm)
     assert norms[1] <= norms[0] / 1.7          # first order or better
     assert norms[0] <= 0.05

@@ -89,23 +89,34 @@ def test_perturbed_profile_residual_scales():
 
 
 def test_liouville_endpoints_and_coefficient():
-    p2 = rad.closed_form_q1(2)
-    lp = rad.liouville_transform(p2)
-    assert lp.t[0] == pytest.approx(1.0)
-    assert lp.p[0] == pytest.approx(1.0)           # e^{-2(t-1)} at t = 1
-    p3 = rad.closed_form_q1(3, r=np.array([0.5, 0.75, 1.0]))
-    lp3 = rad.liouville_transform(p3)
-    assert lp3.t[-1] == pytest.approx(2.0)         # r = 1/2 -> t = 2
-    assert lp3.t[0] == pytest.approx(1.0)
+    t, _, _, p = rad.liouville_transform(rad.closed_form_q1(2))
+    assert t[0] == pytest.approx(1.0)
+    assert p[0] == pytest.approx(1.0)              # e^{-2(t-1)} at t = 1
+    t3, _, _, _ = rad.liouville_transform(
+        rad.closed_form_q1(3, r=np.array([0.5, 0.75, 1.0])))
+    assert t3[-1] == pytest.approx(2.0)            # r = 1/2 -> t = 2
+    assert t3[0] == pytest.approx(1.0)
 
 
 def test_liouville_residuals():
     for n in (2, 3):
         p = rad.closed_form_q1(n)
         base = rad.radial_residual(p)
-        trans = rad.liouville_residual(rad.liouville_transform(p))
+        trans = rad.liouville_residual(p)
         assert trans <= 1e-6
         assert trans <= 10.0 * max(base, 1e-8)
+
+
+@pytest.mark.parametrize("q", (1.0, 1.2, 1.5, 1.9))
+@pytest.mark.parametrize("n_dim", range(2, 11))
+def test_liouville_residual_of_shot_profiles(q, n_dim):
+    # r = 1 maps onto t = 1 on both branches, where p is 1, resp. 1/(N-2)^2
+    p = rad.shoot_neumann(q, n_dim)
+    t, _, _, pt = rad.liouville_transform(p)
+    assert np.all(np.diff(t) > 0)
+    assert t[0] == 1.0
+    assert pt[0] == (1.0 if n_dim == 2 else 1.0 / (n_dim - 2.0) ** 2)
+    assert rad.liouville_residual(p) <= rad.radial_residual(p)
 
 
 def test_shoot_matches_closed_form_n2():
@@ -359,7 +370,7 @@ def test_inequality_chain():
     assert rep.h3 == pytest.approx((5.0 * 2.0 ** (1.0 / 3.0) - 7.0) / 3.0, abs=1e-15)
     assert rep.h3 == pytest.approx(-0.2334649, abs=1e-7)
     assert rep.h3_cubic_ok
-    assert not rep.h3_below_minus_one
+    assert not rep.h3 < -1.0
     for n in range(3, 11):
         assert rad.check_inequality_chain(n).holds
     # s = -1 is not admissible at N = 2 (s > -N/2), so the bound takes s = 0
