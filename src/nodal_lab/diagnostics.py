@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functional, geometry, write_table
+from . import column_rows, functional, geometry, write_table
 from .geometry import Grid
 
 __all__ = [
@@ -69,8 +69,8 @@ def zero_measure_curve(grid: Grid, u: np.ndarray, deltas) -> ZeroMeasureCurve:
 
 
 def write_zero_curve_csv(curve: ZeroMeasureCurve, path) -> None:
-    write_table(path, "delta,measure",
-                zip(curve.deltas.tolist(), curve.measures.tolist()), "%.17g,%.17g")
+    write_table(path, "delta,measure", column_rows(curve.deltas, curve.measures),
+                "%.17g,%.17g")
 
 
 def nodal_domains(grid: Grid, u: np.ndarray) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import write_table
+from . import column_rows, write_table
 
 # kind -> (its size parameter, the names of its node counts).  The size
 # parameter is the DomainSpec field the kind's constructor fills, and the
@@ -28,6 +28,8 @@ _KINDS = {
     "disc": ("radius", ("nr", "ntheta")),
     "annulus": ("radii", ("nr", "ntheta")),
 }
+
+_CHUNK = 1 << 16       # characters of a field dump read_field_csv parses at once
 
 
 @dataclass(frozen=True)
@@ -482,8 +484,9 @@ def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
     """Dump a field as CSV: the header `value`, then one node per row in
     the grid's node order, 17 significant digits.  The grid itself is not
     written; grid_from_dict rebuilds it, coordinates and weights included,
-    from the report the dump belongs to."""
-    write_table(path, "value", zip(_check_field(grid, u).tolist()), "%.17g")
+    from the report the dump belongs to.  The rows are made and written one
+    block at a time (column_rows), so memory beyond u holds one block."""
+    write_table(path, "value", column_rows(_check_field(grid, u)), "%.17g")
 
 
 def read_field_csv(grid: Grid, path) -> np.ndarray:
@@ -491,16 +494,23 @@ def read_field_csv(grid: Grid, path) -> np.ndarray:
 
     Raises ValueError unless the dump has write_field_csv's header, one row
     per node of grid and finite values (%.17g round-trips every double).
+    Lines are read in chunks of about _CHUNK characters, and numpy's
+    str -> float cast fills each chunk into the result, so memory beyond
+    the field holds one chunk, never the file.
     """
     path = Path(path)
+    u = np.empty(grid.n_nodes)
+    n = 0
     with path.open(newline="") as fh:
-        header, *rows = fh.read().splitlines() or [""]
-    if header != "value":
-        raise ValueError(f"field dump {path} has no 'value' header")
-    if len(rows) != grid.n_nodes:
-        raise ValueError(f"field dump {path} has {len(rows) or 'no'} rows, "
+        if fh.readline().rstrip("\r\n") != "value":
+            raise ValueError(f"field dump {path} has no 'value' header")
+        while rows := fh.readlines(_CHUNK):
+            if n + len(rows) <= grid.n_nodes:
+                u[n:n + len(rows)] = rows
+            n += len(rows)
+    if n != grid.n_nodes:
+        raise ValueError(f"field dump {path} has {n or 'no'} rows, "
                          f"its grid {grid.n_nodes} nodes")
-    u = np.array(rows, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError(f"field dump {path} contains non-finite values")
     return u

@@ -76,6 +76,24 @@ def reflect(grid, u, hid):
     return np.flip(u, axis=hid).ravel()
 
 
+def interval_energy(q, half_length=1.0):
+    """The least energy on (-L, L), L = half_length, at exponent q: that of
+    the odd, monotone solution with one zero, the generalized sine of
+    Drabek-Manasevich (Differential Integral Equations 12, 1999).  With
+    a = u(L), the first integral u'^2/2 + |u|^q/q = a^q/q gives the quarter
+    period L = (sqrt(q/2)/q) a^(1-q/2) B(1/q, 1/2) and the power integral
+    int |u|^q = (2/q) sqrt(q/2) a^(1+q/2) B(1 + 1/q, 1/2), and the energy is
+    -(2-q)/(2q) int |u|^q; B is Euler's Beta function.  At q = 1 and L = 1,
+    a = 1/2 and the energy is -1/3."""
+    def beta(x, y):
+        return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+    s = math.sqrt(q / 2.0)
+    a = (half_length * q / (s * beta(1.0 / q, 0.5))) ** (2.0 / (2.0 - q))
+    power = (2.0 / q) * s * a ** (1.0 + q / 2.0) * beta(1.0 + 1.0 / q, 0.5)
+    return -(2.0 - q) / (2.0 * q) * power
+
+
 def polarize(grid, u, hid, toward=None):
     """The two-point rearrangement across hyperplane hid: max(u, u o sigma)
     on the halfspace that toward points into (default: the positive side of

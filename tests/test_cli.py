@@ -460,6 +460,38 @@ def test_verify_rejects_nonfinite_dump(tmp_path):
         assert run(["verify", out / "report.json"]) == (2 if name == "intact" else 1), name
 
 
+def test_verify_rejects_bad_rows_past_the_first_chunk(tmp_path, capsys):
+    # the reader takes a dump in chunks of lines: a dump of several chunks,
+    # with the writer's line ends and the bad row in its third chunk
+    grid = geo.build_grid(geo.DomainSpec.interval(1.0), 10000)
+    rows = ["%.17g\r\n" % x for x in grid.x1.tolist()]
+    bad = 9000
+    assert sum(map(len, rows[:bad])) > 2 * geo._CHUNK
+    energy = fn.energy(fn.ProblemSpec(grid, 1.0), grid.x1)
+    dumps = {                          # name: (field.csv rows, the error it gives)
+        "garbled": (rows[:bad] + [rows[bad][:-2] + ",1.0\r\n"] + rows[bad + 1:],
+                    "could not convert string to float"),
+        "nonfinite": (rows[:bad] + ["nan\r\n"] + rows[bad + 1:], "non-finite values"),
+        "short": (rows[:bad] + rows[bad + 1:], "has 9999 rows, its grid 10000 nodes"),
+        "long": (rows[:bad] + rows[bad:bad + 1] + rows[bad:], "has 10001 rows"),
+        # read in full, these fail only the thresholds
+        "intact": (rows, None),
+        "unterminated": (rows[:-1] + [rows[-1][:-2]], None),
+    }
+    for name, (body, error) in dumps.items():
+        out = tmp_path / name
+        out.mkdir()
+        (out / "field.csv").write_bytes(("value\r\n" + "".join(body)).encode())
+        report = {"q": 1.0, "energy": energy, "field_csv": "field.csv", **grid.to_dict()}
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["verify", out / "report.json"]) == (2 if error is None else 1), name
+        err = capsys.readouterr().err.splitlines()
+        if error is not None:
+            assert len(err) == 1 and err[0].startswith("error: unreadable dump"), (name, err)
+            assert error in err[0], (name, err)
+
+
 def test_verify_rejects_a_field_that_is_not_the_reports(tmp_path, capsys):
     # the radial critical point from r^2 - 1/2 solves the equation, as the
     # minimizer does, but at about 1/93 of its energy: the residual checks

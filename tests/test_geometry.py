@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nodal_lab
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
@@ -407,19 +409,52 @@ def test_gradient_magnitude_linear(disc_grid):
 
 def test_field_csv_roundtrip(tmp_path, disc_grid, interval_grid, annulus_grid):
     rng = np.random.default_rng(1)
+    values = rng.standard_normal(disc_grid.n_nodes)
+    values[:5] = [-0.0, 5e-324, -5e-324, 1e300, -1e300]
+    # the rows the reader's first chunk takes from a dump of these values
+    path = tmp_path / "long.csv"
+    geo.write_field_csv(disc_grid, values, path)
+    with path.open(newline="") as fh:
+        fh.readline()
+        chunk = len(fh.readlines(geo._CHUNK))
+    assert chunk < disc_grid.n_nodes // 2
+    # interval row counts on both sides of the writer's block and of the
+    # reader's chunk
+    sides = [m + d for m in (nodal_lab._BLOCK, chunk) for d in (-1, 0, 1)]
     rect = geo.build_grid(geo.DomainSpec.rectangle(2.0, 1.0), (16, 12))
-    extremes = [-0.0, 5e-324, -5e-324, 1e300, -1e300]
-    for g in (disc_grid, interval_grid, annulus_grid, rect):
-        u = rng.standard_normal(g.n_nodes)
-        u[:len(extremes)] = extremes
-        path = tmp_path / f"{g.kind}.csv"
+    grids = [disc_grid, interval_grid, annulus_grid, rect]
+    grids += [geo.build_grid(geo.DomainSpec.interval(1.0), n) for n in sides]
+    for g in grids:
+        u = values[:g.n_nodes]
         geo.write_field_csv(g, u, path)
         back = geo.read_field_csv(g, path)
         assert np.array_equal(back, u)
         assert np.array_equal(np.signbit(back), np.signbit(u))      # -0.0 stays
-        lines = path.read_text().splitlines()
-        assert lines[0] == "value"
-        assert len(lines) == g.n_nodes + 1
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"value" and lines[-1] == b""
+        assert len(lines) == g.n_nodes + 2
+
+
+def test_field_csv_io_holds_one_block(tmp_path):
+    # a 131,072-row dump (a 1 MiB field) took 4.1 MiB of traced memory to
+    # write and 12.3 MiB to read while whole columns were held as Python
+    # floats and strings; one block or chunk at a time, the read holds the
+    # 1 MiB result and one chunk
+    grid = geo.build_grid(geo.DomainSpec.disc(1.0), (256, 512))
+    u = np.random.default_rng(2).standard_normal(grid.n_nodes)
+    path = tmp_path / "field.csv"
+    tracemalloc.start()
+    try:
+        geo.write_field_csv(grid, u, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = geo.read_field_csv(grid, path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, u)
+    assert write_peak < 0.5 * 2**20
+    assert read_peak < 2 * 2**20
 
 
 def test_grid_dict_roundtrip(disc_grid, interval_grid, annulus_grid):
