@@ -140,40 +140,18 @@ def radiality_deviation(grid: Grid, u: np.ndarray) -> float:
     return var_ring / var_total
 
 
-def _angular_monotonicity_violation(grid: Grid, u: np.ndarray,
-                                    axis: float) -> float:
-    """Largest increase of any ring profile with growing angular distance
-    from the axis (ties in distance are not compared)."""
-    profiles = u.reshape(grid.shape)
-    thetas = grid.axis_nodes[1]
-    d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    vals = profiles[:, order]
-    run_min = np.minimum.accumulate(vals, axis=1)
-    # compare each value against the running minimum over strictly smaller
-    # distances; the angles, and so this base, are the same on every ring
-    base = np.searchsorted(ds, ds - 1e-12, side="left") - 1
-    ok = base >= 0
-    return max(0.0, float(np.max(vals[:, ok] - run_min[:, base[ok]])))
-
-
-def _polarization_defect(grid: Grid, u: np.ndarray, toward: np.ndarray) -> float:
-    """max over the polar hyperplanes h of ||u_H - u||_w, read off the ring
-    profiles P, with u_H the two-point rearrangement of u across h toward
-    the halfspace toward points into (polarize in tests/conftest.py).
+def _hyperplane_sweep(grid: Grid, u: np.ndarray,
+                      toward: np.ndarray) -> tuple[float, float]:
+    """The angular monotonicity violation and the polarization defect
+    toward the axis direction toward, from one sweep of the polar
+    hyperplanes over the ring profiles P (see foliated_schwarz_check).
 
     Hyperplane h, at angle a = h pi/n_theta, maps column k to its mirror
     m = (h - k) mod n_theta, and its positive side, sin(theta_k - a) > 0, is
-    the contiguous range h < 2k < h + n_theta.  The rearrangement moves both
-    ends of a pair {k, m} by relu(o (P_m - P_k)), with o = -1 when toward
-    points to the negative side, and fixes the columns on the hyperplane, so
-    the squared norm is twice the sum over the positive side: nr n_theta^2 / 2
-    subtractions in all, and no rearranged field.
-
-    The angle columns are laid out as rows, cols = P^T, and the mirrors as
-    the rows of the doubled copy [P^T; P^T] in reverse order, so that both
-    the positive side and its mirrors are one contiguous forward slice.  Each hyperplane's
+    the contiguous range h < 2k < h + n_theta.  The angle columns are laid
+    out as rows, cols = P^T, and the mirrors as the rows of the doubled
+    copy [P^T; P^T] in reverse order, so that both the positive side and
+    its mirrors are one contiguous forward slice.  Each hyperplane's
     differences are taken, clipped and squared in one reused buffer, then
     weighted and summed by one dot; subtracting before weighting keeps the
     defect exact on near-tied pairs.
@@ -183,23 +161,28 @@ def _polarization_defect(grid: Grid, u: np.ndarray, toward: np.ndarray) -> float
     mirrors = np.concatenate((cols, cols))[::-1].copy()
     w = np.tile(grid.weights[::nth], nth // 2)  # one weight per ring, per column
     buf = np.empty(w.size)
-    worst = 0.0
+    violation = worst = 0.0
     for hid in range(nth):
         lo, hi = hid // 2 + 1, (hid + nth + 1) // 2
         side = cols[lo:hi].ravel()
         mirror = mirrors[nth - 1 - hid + lo:nth - 1 - hid + hi].ravel()
         f = buf[:side.size]
         alpha = hid * math.pi / nth
-        normal = np.array([-math.sin(alpha), math.cos(alpha)])
-        # the differences that u_H - u holds, squared before weighting
-        if float(np.dot(toward, normal)) < 0:
+        # sin of the axis's angle from the line: its sign picks the axis's side
+        s = float(np.dot(toward, [-math.sin(alpha), math.cos(alpha)]))
+        if s < 0:
             np.subtract(side, mirror, out=f)
         else:
             np.subtract(mirror, side, out=f)
+        top = float(f.max())
+        if top <= 0.0:
+            continue
+        if abs(s) > 5e-13:
+            violation = max(violation, top)
         np.maximum(f, 0.0, out=f)
         np.multiply(f, f, out=f)
         worst = max(worst, float(np.dot(f, w[:f.size])))
-    return math.sqrt(2.0 * worst)
+    return violation, math.sqrt(2.0 * worst)
 
 
 def foliated_schwarz_check(grid: Grid, u: np.ndarray,
@@ -214,10 +197,21 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
     bounds are scaled by min(1, max|u|), so a field and its scaled copies
     get one verdict.
 
-    The polarization defect pairs each column on a hyperplane's positive
-    side with its mirror, which the rearrangement moves by the same amount:
-    one subtraction per pair, nr n_theta^2 / 2 in all, and no rearranged
-    field per hyperplane (see _polarization_defect).
+    One sweep over the grid hyperplanes gives both numbers.  Hyperplane
+    h = (k + m) mod n_theta, and no other, mirrors the angle columns k != m
+    onto each other, and the column on the axis's side of it is the one
+    nearer the axis; the sweep forms u_far - u_near for every pair, one
+    subtraction each, nr n_theta^2 / 2 in all.  (a) is the largest of these
+    differences over the pairs not tied in distance to the axis.  The tie
+    rule: the pairs of a hyperplane whose line lies within 5e-13 of the
+    axis are tied, their distances within 1e-12, and are not compared; on
+    every other hyperplane no pair is.  (b) is the largest ||u_H - u||_w,
+    with u_H the rearrangement across one hyperplane (polarize in
+    tests/conftest.py).  It moves both columns of a pair by the positive
+    part of the difference and fixes the columns on the hyperplane, so this
+    is sqrt(2) times the weighted norm of those parts, and no rearranged
+    field is formed.  A hyperplane whose largest difference is <= 0 adds to
+    neither number and ends after that one max (see _hyperplane_sweep).
 
     Fields of radiality deviation <= 1e-10 pass trivially, with no axis.
     """
@@ -249,8 +243,7 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
         axis = float(thetas[int(np.argmax(profiles[j]))])
         method = "max-point"
 
-    mono = _angular_monotonicity_violation(grid, u, axis)
-    defect = _polarization_defect(grid, u, np.array([math.cos(axis), math.sin(axis)]))
+    mono, defect = _hyperplane_sweep(grid, u, np.array([math.cos(axis), math.sin(axis)]))
     amplitude = min(1.0, float(np.max(np.abs(u))))
     passed = (mono <= monotonicity_tol * amplitude
               and defect <= polarization_tol * amplitude)

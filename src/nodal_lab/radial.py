@@ -468,7 +468,8 @@ def liouville_transform(profile: RadialProfile):
     """Change of variables t = r^{2-N} (N >= 3) or t = 1 - log r (N = 2)
     turning the radial equation into y'' + p(t) |y|^{q-2} y = 0 with
     p(t) = t^{-2(N-1)/(N-2)}/(N-2)^2, resp. exp(-2(t-1)).  Returns the
-    samples (t, y, dy/dt, p) in increasing t, on [1, inf)."""
+    samples (t, y, dy/dt, p) in increasing t, on [1, inf): t falls as r
+    rises, so they are the profile's samples reversed."""
     nn = profile.n_dim
     r = profile.r
     if nn == 2:
@@ -480,8 +481,7 @@ def liouville_transform(profile: RadialProfile):
         drdt = r ** (nn - 1.0) / (2.0 - nn)
         dy = profile.du * drdt
         pt = t ** (-2.0 * (nn - 1.0) / (nn - 2.0)) / (nn - 2.0) ** 2
-    order = np.argsort(t)
-    return t[order], profile.u[order], dy[order], pt[order]
+    return t[::-1], profile.u[::-1], dy[::-1], pt[::-1]
 
 
 def liouville_residual(profile: RadialProfile) -> float:

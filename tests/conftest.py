@@ -113,6 +113,26 @@ def polarize(grid, u, hid, toward=None):
     return np.where(s > 0, np.maximum(u, ur), np.where(s < 0, np.minimum(u, ur), u))
 
 
+def reference_monotonicity(grid, u, axis):
+    """Angular monotonicity violation computed ring by ring: each value
+    against the running minimum over the columns strictly nearer the axis,
+    in the columns' order by distance (distances within 1e-12 are tied)."""
+    profiles = u.reshape(grid.resolution["nr"], grid.resolution["ntheta"])
+    thetas = grid.axis_nodes[1]
+    d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
+    order = np.argsort(d, kind="stable")
+    ds = d[order]
+    worst = 0.0
+    for row in profiles:
+        vals = row[order]
+        run_min = np.minimum.accumulate(vals)
+        base = np.searchsorted(ds, ds - 1e-12, side="left") - 1
+        ok = base >= 0
+        if ok.any():
+            worst = max(worst, float(np.max(vals[ok] - run_min[base[ok]])))
+    return worst
+
+
 def polar_coords(grid):
     r = np.hypot(grid.coords[:, 0], grid.coords[:, 1])
     th = np.arctan2(grid.coords[:, 1], grid.coords[:, 0])

@@ -14,8 +14,8 @@ from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 from nodal_lab import radial as rad
 
-from conftest import (polar_coords, polarize, reference_edges, reflect, small_grids,
-                      smooth_random_field)
+from conftest import (polar_coords, polarize, reference_edges, reference_monotonicity, reflect,
+                      small_grids, smooth_random_field)
 
 
 def test_zero_measure_interval(interval_grid):
@@ -255,11 +255,12 @@ def polarization_cases(draw):
     rounded, so that pairs tie; symmetric under one hyperplane's reflection;
     nonincreasing on every ring in the angular distance from the axis,
     which no polarization toward the axis moves; or near-tie, such a
-    profile with the axis on a node column plus 1e-9 noise, whose defect
-    is made of differences 1e-9 of the values (a defect that weights the
-    profiles before subtracting them is off by 1e-8 to 1e-7 relative).  Axes:
-    any angle, or a multiple of pi/(2 n_theta), which lies on a hyperplane
-    (h pi/n_theta) or along one's normal (h pi/n_theta +- pi/2)."""
+    profile with the axis on a node column, or 4e-13 or 6e-13 off it, plus
+    1e-9 noise, whose defect is made of differences 1e-9 of the values (a
+    defect that weights the profiles before subtracting them is off by 1e-8
+    to 1e-7 relative).  Axes: any angle, or a multiple of pi/(2 n_theta),
+    which lies on a hyperplane (h pi/n_theta) or along one's normal
+    (h pi/n_theta +- pi/2)."""
     grid = draw(small_grids().filter(lambda g: g.is_polar))
     nr, nth = grid.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -280,6 +281,8 @@ def polarization_cases(draw):
         u = (rng.standard_normal((nr, 1)) - rng.random((nr, 1)) * dist).ravel()
         if kind == "near-tie":
             u += 1e-9 * rng.standard_normal(grid.n_nodes)
+            # the axis off its hyperplane by less or more than the tie rule's 5e-13
+            axis += draw(st.sampled_from((0.0, 4e-13, -4e-13, 6e-13, -6e-13)))
     return grid, u, axis, kind
 
 
@@ -297,8 +300,12 @@ def test_polarization_defect_matches_polarize(case):
                    for h in range(grid.shape[1]))
 
     ref = reference(axis)
-    got = dg._polarization_defect(grid, u, np.array([math.cos(axis), math.sin(axis)]))
+    mono, got = dg._hyperplane_sweep(grid, u, np.array([math.cos(axis), math.sin(axis)]))
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # axes on or near a hyperplane exercise the tie rule
+    assert mono == reference_monotonicity(grid, u, axis)
+    # both numbers come from the same pairs
+    assert got >= math.sqrt(2.0 * grid.weights.min()) * mono * (1.0 - 1e-12)
     if kind == "monotone":
         assert got == ref == 0.0
     rep = dg.foliated_schwarz_check(grid, u)

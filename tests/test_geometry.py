@@ -11,7 +11,7 @@ import nodal_lab
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
-from conftest import reference_edges, reflect, small_grids
+from conftest import reference_edges, reference_monotonicity, reflect, small_grids
 
 
 def test_domain_measures():
@@ -156,24 +156,6 @@ def _reference_perm(grid, hid):
     return jj * ntheta + (hid - kk) % ntheta
 
 
-def _reference_monotonicity(grid, u, axis):
-    """Angular monotonicity violation computed ring by ring."""
-    profiles = u.reshape(grid.resolution["nr"], grid.resolution["ntheta"])
-    thetas = grid.axis_nodes[1]
-    d = np.abs((thetas - axis + math.pi) % (2.0 * math.pi) - math.pi)
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    worst = 0.0
-    for row in profiles:
-        vals = row[order]
-        run_min = np.minimum.accumulate(vals)
-        base = np.searchsorted(ds, ds - 1e-12, side="left") - 1
-        ok = base >= 0
-        if ok.any():
-            worst = max(worst, float(np.max(vals[ok] - run_min[base[ok]])))
-    return worst
-
-
 @st.composite
 def reflection_cases(draw):
     """A small grid of any kind, one of its hyperplanes and a field (normal
@@ -201,8 +183,10 @@ def test_reflections_match_index_arithmetic(case, axis):
     assert geo.dirichlet_energy(grid, u[perm]) == pytest.approx(
         geo.dirichlet_energy(grid, u), rel=1e-12)
     if grid.is_polar:
-        assert (dg._angular_monotonicity_violation(grid, u, axis)
-                == _reference_monotonicity(grid, u, axis))
+        mono, defect = dg._hyperplane_sweep(grid, u, np.array([math.cos(axis), math.sin(axis)]))
+        assert mono == reference_monotonicity(grid, u, axis)
+        # both numbers come from the same pairs
+        assert defect >= math.sqrt(2.0 * grid.weights.min()) * mono * (1.0 - 1e-12)
 
 
 def _reference_gradient_magnitude(grid, u):
