@@ -68,8 +68,8 @@ class RunConfig:
             raise ValueError(f"unknown domain: {self.domain!r}")
         size = geometry._KINDS[self.domain][0]
         value = getattr(self, size)
-        return geometry.DomainSpec.from_dict(
-            {"kind": self.domain, size: _SIZE_DEFAULTS.get(size) if value is None else value})
+        return geometry.DomainSpec(self.domain,
+                                   _SIZE_DEFAULTS.get(size) if value is None else value)
 
     def resolution(self):
         """n nodes per direction on an interval or rectangle, else (nr, ntheta)."""

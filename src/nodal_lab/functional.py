@@ -298,7 +298,7 @@ def rescale_bump(spec: ProblemSpec, v: np.ndarray, r: float,
     must be contained in the domain.
     """
     g = spec.grid
-    if g.kind != "disc" or abs(g.domain.radius - 1.0) > 1e-12:
+    if g.kind != "disc" or abs(g.domain.size[0] - 1.0) > 1e-12:
         raise ValueError("wrong-domain-kind: rescale_bump needs the unit-disc grid")
     v = np.asarray(v, dtype=float)
     if v.shape != (g.n_nodes,):
@@ -306,7 +306,7 @@ def rescale_bump(spec: ProblemSpec, v: np.ndarray, r: float,
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r-out-of-range: need 0 < r <= 1, got {r}")
     cx, cy = float(center[0]), float(center[1])
-    if math.hypot(cx, cy) + r > g.domain.radius + 1e-12:
+    if math.hypot(cx, cy) + r > g.domain.size[0] + 1e-12:
         raise ValueError("ball-not-contained: B_r(center) must lie in the disc")
     nr, ntheta = g.shape
     outer = v.reshape(nr, ntheta)[-1]

@@ -12,6 +12,7 @@ assembled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,14 +20,14 @@ import numpy as np
 
 from . import column_rows, write_table
 
-# kind -> (its size parameter, the names of its node counts).  The size
-# parameter is the DomainSpec field the kind's constructor fills, and the
+# kind -> (its size key, its size count, the names of its node counts).
+# The size key names the size in DomainSpec.to_dict and from_dict, and the
 # counts name the axes of the grid's shape in order.
 _KINDS = {
-    "interval": ("half_length", ("n",)),
-    "rectangle": ("sides", ("n1", "n2")),
-    "disc": ("radius", ("nr", "ntheta")),
-    "annulus": ("radii", ("nr", "ntheta")),
+    "interval": ("half_length", 1, ("n",)),
+    "rectangle": ("sides", 2, ("n1", "n2")),
+    "disc": ("radius", 1, ("nr", "ntheta")),
+    "annulus": ("radii", 2, ("nr", "ntheta")),
 }
 
 _CHUNK = 1 << 16       # characters of a field dump read_field_csv parses at once
@@ -34,72 +35,67 @@ _CHUNK = 1 << 16       # characters of a field dump read_field_csv parses at onc
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Geometry parameters of the domain.  All lengths are dimensionless."""
+    """A domain: its kind and its size, a tuple of floats: (L,) for the
+    interval (-L, L), the sides (a, b) of the origin-centered rectangle,
+    (R,) for the disc and the radii (inner, outer) of the annulus.  All
+    lengths are dimensionless.  __post_init__ checks every size, from a
+    constructor or a dict, and stores it as floats; a lone number stands
+    for a size of one value."""
 
     kind: str
-    half_length: float | None = None          # interval (-L, L)
-    sides: tuple[float, float] | None = None  # rectangle side lengths (a, b)
-    radius: float | None = None               # disc radius
-    radii: tuple[float, float] | None = None  # annulus (inner, outer)
+    size: tuple[float, ...]
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"invalid-spec: unknown domain kind {self.kind!r}")
-        size = _KINDS[self.kind][0]
-        value = getattr(self, size)
-        values = value if isinstance(value, tuple) else (value,)
-        # written so that NaN fails it
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) and v > 0 for v in values):
-            raise ValueError(f"invalid-spec: {self.kind} {size} must be finite and > 0, "
-                             f"got {value!r}")
+        key, count, _ = _KINDS[self.kind]
+        values = list(self.size) if isinstance(self.size, (tuple, list)) else [self.size]
+        # a bool is no number; written so that NaN, and an int no float
+        # holds, fail it
+        if len(values) != count or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and 0 < v <= sys.float_info.max for v in values):
+            raise ValueError(f"invalid-spec: {self.kind} {key} must be {count} finite "
+                             f"number(s) > 0, got {self.size!r}")
         if self.kind == "annulus" and not values[0] < values[1]:
             raise ValueError("invalid-spec: annulus needs 0 < inner < outer")
+        object.__setattr__(self, "size", tuple(map(float, values)))
 
     @classmethod
     def interval(cls, half_length: float) -> "DomainSpec":
-        return cls("interval", half_length=float(half_length))
+        return cls("interval", (half_length,))
 
     @classmethod
     def rectangle(cls, a: float, b: float) -> "DomainSpec":
-        return cls("rectangle", sides=(float(a), float(b)))
+        return cls("rectangle", (a, b))
 
     @classmethod
     def disc(cls, radius: float) -> "DomainSpec":
-        return cls("disc", radius=float(radius))
+        return cls("disc", (radius,))
 
     @classmethod
     def annulus(cls, inner: float, outer: float) -> "DomainSpec":
-        return cls("annulus", radii=(float(inner), float(outer)))
+        return cls("annulus", (inner, outer))
 
     @property
     def measure(self) -> float:
         """Total measure of the domain, in closed form."""
         if self.kind == "interval":
-            return 2.0 * self.half_length
+            return 2.0 * self.size[0]
         if self.kind == "rectangle":
-            return self.sides[0] * self.sides[1]
-        if self.kind == "disc":
-            return math.pi * self.radius**2
-        rin, rout = self.radii
-        return math.pi * (rout**2 - rin**2)
+            return self.size[0] * self.size[1]
+        inner, outer = (0.0, *self.size)[-2:]      # a disc's inner radius is 0
+        return math.pi * (outer**2 - inner**2)
 
     def to_dict(self) -> dict:
-        size = _KINDS[self.kind][0]
-        value = getattr(self, size)
-        return {"kind": self.kind, size: list(value) if isinstance(value, tuple) else value}
+        key, count, _ = _KINDS[self.kind]
+        return {"kind": self.kind, key: list(self.size) if count > 1 else self.size[0]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
+        """The spec of to_dict's dict: the value under the kind's size key."""
         kind = d["kind"]
-        if kind not in _KINDS:
-            raise ValueError(f"invalid-spec: unknown domain kind {kind!r}")
-        size = _KINDS[kind][0]
-        values = np.ravel(d.get(size)).tolist()
-        count = 2 if kind in ("rectangle", "annulus") else 1
-        if len(values) != count or any(type(v) not in (int, float) for v in values):
-            raise ValueError(f"invalid-spec: {kind} {size} must be {count} number(s), "
-                             f"got {d.get(size)!r}")
-        return getattr(cls, kind)(*values)
+        return cls(kind, d.get(_KINDS[kind][0]) if kind in _KINDS else None)
 
 
 class Grid:
@@ -150,7 +146,7 @@ class Grid:
     @property
     def resolution(self) -> dict:
         """The node counts by name: {"n"}, {"n1", "n2"} or {"nr", "ntheta"}."""
-        return dict(zip(_KINDS[self.kind][1], self.shape))
+        return dict(zip(_KINDS[self.kind][2], self.shape))
 
     @property
     def x1(self) -> np.ndarray:
@@ -261,8 +257,7 @@ def _build_box(spec: DomainSpec, counts: tuple[int, ...]) -> Grid:
     """Interval (one axis) and rectangle (two axes) grids: the tensor
     product of symmetric lines with trapezoid weights.  An edge along axis
     a has length dx_a and as face the product of the other axes' weights."""
-    halves = ((spec.half_length,) if spec.kind == "interval"
-              else (spec.sides[0] / 2.0, spec.sides[1] / 2.0))
+    halves = spec.size if spec.kind == "interval" else [s / 2.0 for s in spec.size]
     xs, dxs = zip(*(_symmetric_line(n, h) for n, h in zip(counts, halves)))
     # each axis's weights, shaped to broadcast along that axis
     ws = [_trapezoid_weights(n, dx).reshape(-1, *[1] * (len(counts) - 1 - a))
@@ -284,14 +279,14 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     inner to outer radius inclusive.
     """
     if spec.kind == "disc":
-        R = spec.radius
+        R, = spec.size
         dr = R / (nr - 0.5)
         ring_r = (np.arange(nr) + 0.5) * (R / (nr - 0.5))
         ring_r[-1] = R
         # cell boundaries: 0, dr, 2dr, ..., (nr-1)dr, R
         bnd = np.concatenate([[0.0], (np.arange(1, nr)) * dr, [R]])
     else:
-        rin, rout = spec.radii
+        rin, rout = spec.size
         dr = (rout - rin) / (nr - 1)
         ring_r = rin + np.arange(nr) * dr
         ring_r[-1] = rout
@@ -328,7 +323,7 @@ def build_grid(spec: DomainSpec, resolution) -> Grid:
     need an even angle count so that axis reflections are exact node
     permutations.
     """
-    counts = tuple(int(n) for n in np.broadcast_to(resolution, len(_KINDS[spec.kind][1])))
+    counts = tuple(int(n) for n in np.broadcast_to(resolution, len(_KINDS[spec.kind][2])))
     if min(counts) < 8:
         raise ValueError("resolution-too-small: need at least 8 per direction")
     if spec.kind in ("interval", "rectangle"):
@@ -340,7 +335,7 @@ def build_grid(spec: DomainSpec, resolution) -> Grid:
 
 def grid_from_dict(d: dict) -> Grid:
     spec = DomainSpec.from_dict(d["domain"])
-    return build_grid(spec, [d["resolution"][name] for name in _KINDS[spec.kind][1]])
+    return build_grid(spec, [d["resolution"][name] for name in _KINDS[spec.kind][2]])
 
 
 def coarsen(grid: Grid) -> Grid | None:

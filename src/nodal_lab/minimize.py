@@ -224,15 +224,14 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     eta_k |dphi(u_k)|^2 <= 4 eps |phi| ("no-descent-step"), or at max_iter
     ("max-iterations-exceeded", the one stop SolveReport.converged counts
     as not converged).  Starts from u0, or from the dipole x1 when u0 is
-    None; constant starts are re-seeded from the configured rng, so a
-    projected start whose energy is 0 has underflowed: it raises
-    RuntimeError, as does a non-finite one.
+    None.  A constant u0 has no sign-changing projection and raises
+    ValueError; a projected start whose energy is 0 has underflowed: it
+    raises RuntimeError, as does a non-finite one.
     """
     g = spec.grid
     u = g.x1.copy() if u0 is None else np.asarray(u0, dtype=float)
     if float(np.max(u) - np.min(u)) == 0.0:
-        # degenerate start: re-seed randomly
-        u = _smooth_noise(spec, np.random.default_rng(config.seed))
+        raise ValueError("constant-start: a constant u0 has no sign-changing projection")
     u, phi = project(spec, u)
     if not -math.inf < phi < 0.0:
         raise RuntimeError(f"scale-out-of-range: projected start energy {phi!r}")

@@ -94,6 +94,27 @@ def interval_energy(q, half_length=1.0):
     return -(2.0 - q) / (2.0 * q) * power
 
 
+def second_eigenpair(grid):
+    """(mu, v): the second eigenvalue mu_2h of L_h = K/w and a w-normalized
+    eigenvector, by inverse iteration with (K + W)^{-1} W
+    (Grid.h1_solve), deflated of the constants, K's kernel, in the weighted
+    inner product.  It starts from x1, which is not orthogonal to the
+    second eigenspace on any of the four kinds, and stops once
+    ||L_h v - mu v||_w <= 1e-10 mu, mu the Rayleigh quotient of v."""
+    w = grid.weights
+    v = grid.x1.copy()
+    for _ in range(200):
+        v -= np.dot(w, v) / w.sum()
+        v /= math.sqrt(np.dot(w, v * v))
+        lv = geometry.laplacian(grid, v)
+        mu = float(np.dot(w, v * lv))
+        r = lv - mu * v
+        if math.sqrt(np.dot(w, r * r)) <= 1e-10 * mu:
+            return mu, v
+        v = grid.h1_solve(w * v)
+    raise AssertionError(f"second_eigenpair: no convergence on {grid!r}")
+
+
 def polarize(grid, u, hid, toward=None):
     """The two-point rearrangement across hyperplane hid: max(u, u o sigma)
     on the halfspace that toward points into (default: the positive side of

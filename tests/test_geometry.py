@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -453,13 +454,79 @@ def test_grid_dict_roundtrip(disc_grid, interval_grid, annulus_grid):
     assert rect.resolution == {"n1": 16, "n2": 12}
 
 
+# each kind's spec and the dict that to_dict gives for it: the kind and the
+# kind's size key, lengths as floats
+SPEC_DICTS = [
+    (geo.DomainSpec.interval(1.5), {"kind": "interval", "half_length": 1.5}),
+    (geo.DomainSpec.rectangle(2.0, 1.0), {"kind": "rectangle", "sides": [2.0, 1.0]}),
+    (geo.DomainSpec.disc(0.75), {"kind": "disc", "radius": 0.75}),
+    (geo.DomainSpec.annulus(0.3, 0.9), {"kind": "annulus", "radii": [0.3, 0.9]}),
+]
+
+
 def test_domain_spec_dict_roundtrip():
-    for s in (geo.DomainSpec.interval(1.5), geo.DomainSpec.rectangle(2.0, 1.0),
-              geo.DomainSpec.disc(0.75), geo.DomainSpec.annulus(0.3, 0.9)):
-        assert geo.DomainSpec.from_dict(s.to_dict()) == s
+    for s, d in SPEC_DICTS:
+        assert s.to_dict() == d
+        assert geo.DomainSpec.from_dict(d) == s
         assert geo.DomainSpec.from_dict(json.loads(json.dumps(s.to_dict()))) == s
     with pytest.raises(ValueError, match="unknown domain kind"):
         geo.DomainSpec.from_dict({"kind": "hexagon"})
+
+
+def test_domain_spec_integer_sizes_written_as_floats():
+    for d, written in (({"kind": "interval", "half_length": 2}, '"half_length": 2.0'),
+                       ({"kind": "rectangle", "sides": [2, 1]}, '"sides": [2.0, 1.0]'),
+                       ({"kind": "disc", "radius": 1}, '"radius": 1.0'),
+                       ({"kind": "annulus", "radii": [1, 2]}, '"radii": [1.0, 2.0]')):
+        assert json.dumps(geo.DomainSpec.from_dict(d).to_dict()) == \
+            f'{{"kind": "{d["kind"]}", {written}}}'
+
+
+def test_domain_spec_holds_kind_and_size():
+    assert [f.name for f in dataclasses.fields(geo.DomainSpec)] == ["kind", "size"]
+    assert geo.DomainSpec.annulus(1, 2).size == (1.0, 2.0)
+    assert geo.DomainSpec("disc", 2) == geo.DomainSpec.disc(2.0)
+    # what four optional size fields let through: a bool radius, one side
+    # of a rectangle, and a disc with a second size
+    for kind, size in (("disc", True), ("rectangle", (1.0,)), ("disc", (1.0, 2.0))):
+        with pytest.raises(ValueError, match="invalid-spec"):
+            geo.DomainSpec(kind, size)
+
+
+GOOD_SIZES = {"interval": (1.0,), "rectangle": (2.0, 1.0), "disc": (1.0,),
+              "annulus": (0.5, 1.0)}
+
+
+def _bad_sizes(kind):
+    """Sizes of kind that every path must reject: a bad value in each
+    slot, the wrong count and, on the annulus, inner >= outer."""
+    good = GOOD_SIZES[kind]
+    for bad in (True, False, "1", None, math.nan, math.inf, -math.inf, 0, 0.0, -1.0,
+                10**400):
+        for i in range(len(good)):
+            yield good[:i] + (bad,) + good[i + 1:]
+    yield good + (3.0,)
+    yield good[:-1]
+    if kind == "annulus":
+        yield from ((1.0, 0.5), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("kind", GOOD_SIZES)
+def test_domain_spec_paths_reject_the_same_sizes(kind):
+    key = geo._KINDS[kind][0]
+    for size in _bad_sizes(kind):
+        makes = [lambda: geo.DomainSpec(kind, size),
+                 lambda: geo.DomainSpec.from_dict({"kind": kind, key: list(size)})]
+        if len(size) == len(GOOD_SIZES[kind]):
+            makes.append(lambda: getattr(geo.DomainSpec, kind)(*size))
+        if len(size) == 1:
+            makes += [lambda: geo.DomainSpec(kind, size[0]),
+                      lambda: geo.DomainSpec.from_dict({"kind": kind, key: size[0]})]
+        for make in makes:
+            with pytest.raises(ValueError, match="invalid-spec"):
+                make()
+    with pytest.raises(ValueError, match="invalid-spec"):
+        geo.DomainSpec.from_dict({"kind": kind})
 
 
 def test_disc_node_layout(disc_grid):
