@@ -80,36 +80,45 @@ def nodal_domains(grid: Grid, u: np.ndarray) -> int:
     Each node is labelled 1, -1 or 0 by its sign, and components are
     labelled over the neighbours that share a nonzero label by min-label
     hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
-    1982): each round hooks the larger root of every pair that still joins
-    two trees to the smaller, then points every node at its tree's root.
+    1982), one axis at a time: the neighbour walk of the root array gives
+    every node's root minus its successor's, each pair whose difference is
+    not 0 hooks the larger root to the smaller, and then every node is
+    pointed at its tree's root.  The axes are swept until a sweep hooks
+    nothing.  No list of node pairs is formed: a call holds a few arrays
+    of one entry per node, 32-bit roots among them, and the pairs that
+    still join two trees, so that few of its arrays are large enough for
+    the allocator to map, fault in and unmap again on each call.
     Every 0-labelled node, a zero or NaN, stays a root of its own and is
     not counted.
     """
     u = np.asarray(u, dtype=float)
     label = (u > 0).astype(np.int8) - (u < 0)
     nonzero = (label != 0).reshape(grid.shape)
-    # neighbours k, k - d that share a nonzero label: the walk over the node
-    # indices puts k's successor at k - d, or k itself where it has none, a
-    # pair that no round keeps.  Built in a comprehension, so that the
-    # walk's buffers are freed before the rounds
-    i, j = map(np.concatenate, zip(*[
-        (k, k - np.take(di, k))
-        for _, _, dl, di in geometry._walk(grid, label, np.arange(grid.n_nodes))
-        for k in [np.flatnonzero((dl == 0) & nonzero)]]))
-    root = np.arange(grid.n_nodes)
-    ri, rj = i, j                       # every node is its own root
-    while True:
-        cross = ri != rj
-        if not cross.any():
-            break
-        # pairs inside one tree stay there, so later rounds skip them
-        i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
-        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
-        up = root[root]
-        while not np.array_equal(up, root):
-            root, up = up, up[up]
-        ri, rj = root[i], root[j]
-    return int(np.count_nonzero((root == np.arange(grid.n_nodes)) & (label != 0)))
+    # per axis, the nodes whose successor shares their nonzero label; the
+    # walk gives a difference of 0 where a node has no successor, and so it
+    # does for the roots below, so such a node never hooks
+    joined = [(d == 0) & nonzero for _, _, d in geometry._walk(grid, label)]
+    root = np.arange(grid.n_nodes, dtype=np.int32 if grid.n_nodes < 2**31 else np.intp)
+    nodes, up = root.reshape(grid.shape), np.empty_like(root)
+    hooked = True
+    while hooked:
+        hooked = False
+        for (_, _, d), same in zip(geometry._walk(grid, root), joined):
+            cross = same & (d != 0)
+            if not cross.any():
+                continue
+            hooked = True
+            ri, rj = nodes[cross], d[cross]
+            np.subtract(ri, rj, out=rj)     # the successors' roots
+            hi = np.maximum(ri, rj)
+            np.minimum.at(root, hi, np.minimum(ri, rj, out=ri))
+            # mode "clip" writes to up directly, where "raise" buffers it
+            np.take(root, root, out=up, mode="clip")
+            while not np.array_equal(up, root):
+                root[:] = up
+                np.take(root, root, out=up, mode="clip")
+    return int(np.count_nonzero((root == np.arange(grid.n_nodes, dtype=root.dtype))
+                                & (label != 0)))
 
 
 @dataclass

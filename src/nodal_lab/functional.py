@@ -86,6 +86,11 @@ def t_star(spec: ProblemSpec, u: np.ndarray) -> float:
 
 # -- feasible shift ----------------------------------------------------------
 
+# bisection passes of _median_window: on a 128 x 256 disc they leave the
+# q = 1 shift about 500 of 32768 nodes to sort
+_MEDIAN_PASSES = 8
+
+
 def _signed_mean(grid: Grid, u: np.ndarray, q: float, c: float) -> float:
     return float(np.dot(grid.weights, signed_power(u + c, q - 1.0)))
 
@@ -124,6 +129,24 @@ def _weighted_median_shift(grid: Grid, u: np.ndarray, lo: float, hi: float) -> f
     return None
 
 
+def _median_window(grid: Grid, u: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] narrowed around the negative weighted median of u by
+    _MEDIAN_PASSES bisections of the value range [-hi, -lo]: each keeps the
+    half above its midpoint m where the weight of u <= m is below half the
+    total, else the half below.  A sum rounded to the wrong side of half
+    leaves a range that misses; _weighted_median_shift returns None on it."""
+    w = grid.weights
+    half = 0.5 * float(np.sum(w))
+    a, b = -hi, -lo
+    for _ in range(_MEDIAN_PASSES):
+        m = 0.5 * (a + b)
+        if float(np.sum(w, where=u <= m)) < half:
+            a = m
+        else:
+            b = m
+    return -b, -a
+
+
 def _sign_balance(grid: Grid, v: np.ndarray) -> tuple[bool, float]:
     """Whether v meets the q = 1 bracket int sgn_-(v) <= 0 <= int sgn_+(v),
     up to a 1e-12 |Omega| float-summation allowance, and its residual
@@ -156,7 +179,9 @@ def c_shift(spec: ProblemSpec, u: np.ndarray,
     neither was) is, with a RuntimeWarning if that residual is above
     1e-10 max(|Omega|, int |u+c|^{q-1}).
     q = 1: negative weighted median, found and verified as in
-    _weighted_median_shift; a RuntimeError if no candidate from all of u
+    _weighted_median_shift.  Without a bracket the nodes it sorts are
+    first narrowed by _median_window, and all of u is sorted only where
+    that range misses; a RuntimeError if no candidate from all of u
     passes.  `guess` is not used.
 
     bracket: an interval (lo, hi) proven to hold c, such as
@@ -177,10 +202,14 @@ def c_shift(spec: ProblemSpec, u: np.ndarray,
     else:
         lo, hi = bracket
     if spec.q == 1.0:
-        c = _weighted_median_shift(g, u, lo, hi)
-        if c is None and bracket is None:
-            raise RuntimeError("unbalanced-median: no candidate passes the sign balance")
-        return c if c is not None else c_shift(spec, u)   # the bracket missed
+        if bracket is not None:
+            c = _weighted_median_shift(g, u, lo, hi)
+            return c if c is not None else c_shift(spec, u)   # the bracket missed
+        for window in (_median_window(g, u, lo, hi), (lo, hi)):
+            c = _weighted_median_shift(g, u, *window)
+            if c is not None:
+                return c
+        raise RuntimeError("unbalanced-median: no candidate passes the sign balance")
     # stop once the residual sits three decades under the warning tolerance
     early = 1e-13 * g.domain.measure
     # c is the next point and last the one evaluated before; while there

@@ -93,9 +93,14 @@ class DomainSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
-        """The spec of to_dict's dict: the value under the kind's size key."""
+        """The spec of to_dict's dict: the value under the kind's size key,
+        which with "kind" must be its only key."""
         kind = d["kind"]
-        return cls(kind, d.get(_KINDS[kind][0]) if kind in _KINDS else None)
+        key = _KINDS[kind][0] if kind in _KINDS else None
+        if key is not None and set(d) != {"kind", key}:
+            raise ValueError(f"invalid-spec: a {kind} domain holds kind and {key} "
+                             f"alone, got {sorted(d)}")
+        return cls(kind, d.get(key))
 
 
 class Grid:
@@ -334,8 +339,14 @@ def build_grid(spec: DomainSpec, resolution) -> Grid:
 
 
 def grid_from_dict(d: dict) -> Grid:
+    """The grid of Grid.to_dict's dict, whose resolution holds the kind's
+    node counts and no other key."""
     spec = DomainSpec.from_dict(d["domain"])
-    return build_grid(spec, [d["resolution"][name] for name in _KINDS[spec.kind][2]])
+    names, res = _KINDS[spec.kind][2], d["resolution"]
+    if set(res) != set(names):
+        raise ValueError(f"invalid-spec: a {spec.kind} resolution holds "
+                         f"{', '.join(names)} alone, got {sorted(res)}")
+    return build_grid(spec, [res[name] for name in names])
 
 
 def coarsen(grid: Grid) -> Grid | None:

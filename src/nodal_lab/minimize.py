@@ -42,6 +42,7 @@ grid's work.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -71,6 +72,9 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iter < 1 or self.starts < 1:
             raise ValueError("invalid solve config: counts must be >= 1")
+        if self.seed < 0:
+            # random.Random(-s) would repeat the starts of seed s
+            raise ValueError("invalid solve config: seed must be >= 0")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError("invalid solve config: grad_tol must be finite and > 0")
 
@@ -156,9 +160,15 @@ def project(spec: ProblemSpec, u: np.ndarray,
                            f"A/D = {a / d!r}") from None
 
 
-def _smooth_noise(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
+def _smooth_noise(spec: ProblemSpec, seed: int) -> np.ndarray:
+    """Smoothed white noise of one seed: the H1 solve of the weights times
+    one centred uniform draw per node, random() - 1/2 from
+    random.Random(seed), whose random() stream Python keeps the same
+    across versions."""
     g = spec.grid
-    raw = rng.standard_normal(g.n_nodes)
+    draw = random.Random(seed).random
+    raw = np.fromiter((draw() for _ in range(g.n_nodes)), float, g.n_nodes)
+    raw -= 0.5
     return g.h1_solve(g.weights * raw)
 
 
@@ -300,7 +310,7 @@ def _run_start(spec: ProblemSpec, config: SolveConfig, idx: int) -> SolveReport:
     sub = replace(config, seed=config.seed + 7919 * idx)
     if idx == 0:
         return minimize_energy(spec, sub)
-    rep = minimize_energy(spec, sub, u0=_smooth_noise(spec, np.random.default_rng(sub.seed)))
+    rep = minimize_energy(spec, sub, u0=_smooth_noise(spec, sub.seed))
     rep.recipe = "random"
     return rep
 

@@ -289,7 +289,9 @@ def test_radial_and_bounds_leave_scipy_unimported(tmp_path):
 def test_radial_and_coarsened_solve_leave_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma (numpy 2.4), about 17 ms of a fresh
     # process; radial's sampler and the box grids' axis nodes, which the
-    # coarse-to-fine multistart reads, sort and mask instead
+    # coarse-to-fine multistart reads, sort and mask instead.  The random
+    # starts draw from the standard library's random module, so numpy.random
+    # and the modules it brings stay unimported too
     child = ("import json, sys\n"
              "from nodal_lab.cli import main\n"
              f"out = {str(tmp_path)!r}\n"
@@ -297,10 +299,10 @@ def test_radial_and_coarsened_solve_leave_numpy_ma_unimported(tmp_path):
              "       main(['solve', '--domain', 'rectangle', '--q', '1.5', '--n', '16',\n"
              "             '--starts', '2', '--out', out + '/s'])]\n"
              "levels = json.load(open(out + '/s/report.json'))['levels']\n"
-             "print(rcs, len(levels), 'numpy.ma' in sys.modules)\n")
+             "print(rcs, len(levels), 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
     proc = run_child("-c", child)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] 2 False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] 2 False False"
 
 
 def test_radial_command(tmp_path, capsys):
@@ -514,6 +516,23 @@ def test_verify_rejects_a_field_that_is_not_the_reports(tmp_path, capsys):
     assert run(["verify", out / "report.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'value' header" in err
+
+
+def test_verify_refuses_stray_domain_and_resolution_keys(tmp_path, capsys):
+    # a key the grid does not read is refused, not ignored; solve's own
+    # reports verify
+    out = tmp_path / "disc"
+    assert run(["solve", "--domain", "disc", "--q", 1, "--nr", 16, "--ntheta", 32,
+                "--starts", 2, "--out", out]) == 0
+    assert run(["verify", out / "report.json"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for block, stray in (("domain", {"sides": [2, 2]}), ("resolution", {"n": 16})):
+        (out / "report.json").write_text(json.dumps(
+            {**report, block: {**report[block], **stray}}))
+        capsys.readouterr()
+        assert run(["verify", out / "report.json"]) == 1, block
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "invalid-spec" in err[0], err
 
 
 def test_verify_header_only_dump(tmp_path):

@@ -501,6 +501,50 @@ def test_unbalanced_median_raises(disc_grid, monkeypatch, bracket):
         fn.c_shift(spec, disc_grid.x1, bracket=bracket)
 
 
+def _full_range_median_shift(grid, u):
+    """The q = 1 shift from the sort of all of u, or None."""
+    return fn._weighted_median_shift(grid, u, -float(np.max(u)), -float(np.min(u)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("normal", "smooth", "integers", "zeros", "odd")),
+       offset=st.floats(-10.0, 10.0))
+def test_narrowed_median_shift_is_the_full_range_one(grid, seed, kind, offset):
+    # without a bracket, the q = 1 shift sorts the nodes of the range
+    # _median_window narrows; it is the shift from sorting all of u, bit for
+    # bit, ties included: integer values, exact zeros and odd fields, whose
+    # cumulative weight meets half the total up to rounding
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.n_nodes)
+    if kind == "smooth":
+        u = smooth_random_field(grid, rng)
+    elif kind == "integers":
+        u = np.round(3.0 * u)
+    elif kind == "zeros":
+        u[rng.random(u.size) < 0.5] = 0.0
+    elif kind == "odd":
+        assume(grid.is_polar or grid.shape[0] % 2 == 0)
+        u = u - reflect(grid, u, _x1_flip(grid))
+    u = u + offset if kind != "odd" else u
+    full = _full_range_median_shift(grid, u)
+    spec = fn.ProblemSpec(grid, 1.0)
+    if full is None:
+        with pytest.raises(RuntimeError, match="unbalanced-median"):
+            fn.c_shift(spec, u)
+    else:
+        assert np.float64(fn.c_shift(spec, u)).tobytes() == np.float64(full).tobytes()
+
+
+@pytest.mark.parametrize("window", [(5.0, 6.0), (-6.0, -5.0), (0.0, 0.0)])
+def test_narrowed_range_that_misses_falls_back(disc_grid, monkeypatch, window):
+    # a range that misses the median leaves the sort of all of u
+    u = disc_grid.x1 + 0.1 * disc_grid.coords[:, 1] ** 2
+    full = _full_range_median_shift(disc_grid, u)
+    monkeypatch.setattr(fn, "_median_window", lambda grid, u, lo, hi: window)
+    assert fn.c_shift(fn.ProblemSpec(disc_grid, 1.0), u) == full
+
+
 @pytest.mark.parametrize("q", [1.0, 1.5])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_field_is_rejected(disc_grid, q, bad):

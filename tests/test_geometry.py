@@ -473,6 +473,17 @@ def test_domain_spec_dict_roundtrip():
         geo.DomainSpec.from_dict({"kind": "hexagon"})
 
 
+def test_dicts_with_stray_keys_refused(disc_grid):
+    d = disc_grid.to_dict()
+    for stray in ({"domain": {**d["domain"], "sides": [2.0, 2.0]}},
+                  {"resolution": {**d["resolution"], "n": 16}},
+                  {"resolution": {"nr": 64}}):
+        with pytest.raises(ValueError, match="invalid-spec"):
+            geo.grid_from_dict({**d, **stray})
+    with pytest.raises(ValueError, match="invalid-spec"):
+        geo.DomainSpec.from_dict({"kind": "disc", "radius": 1.0, "radii": [0.5, 1.0]})
+
+
 def test_domain_spec_integer_sizes_written_as_floats():
     for d, written in (({"kind": "interval", "half_length": 2}, '"half_length": 2.0'),
                        ({"kind": "rectangle", "sides": [2, 1]}, '"sides": [2.0, 1.0]'),
