@@ -167,7 +167,7 @@ def _hyperplane_sweep(grid: Grid, u: np.ndarray,
     """
     nr, nth = grid.shape
     cols = np.ascontiguousarray(u.reshape(nr, nth).T)
-    mirrors = np.concatenate((cols, cols))[::-1].copy()
+    mirrors = np.concatenate((cols[::-1], cols[::-1]))
     w = np.tile(grid.weights[::nth], nth // 2)  # one weight per ring, per column
     buf = np.empty(w.size)
     violation = worst = 0.0
@@ -237,8 +237,7 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
     thetas = grid.axis_nodes[1]
     nr = grid.shape[0]
     # projecting onto e^{+i theta} puts the axis at the argument of the mode
-    phase = np.tile(np.exp(1j * thetas), nr)
-    mode = complex(np.sum(grid.weights * u * phase))
+    mode = complex(np.sum(grid.weights * u * np.tile(np.exp(1j * thetas), nr)))
     scale = float(np.dot(grid.weights, np.abs(u)))
     if abs(mode) > 1e-8 * max(scale, 1e-300):
         axis = float(np.angle(mode))

@@ -342,8 +342,8 @@ def rescale_bump(spec: ProblemSpec, v: np.ndarray, r: float,
     if np.max(np.abs(outer)) > 0.0:
         raise ValueError("v must vanish near the unit-disc boundary")
 
-    dx = g.coords[:, 0] - cx
-    dy = g.coords[:, 1] - cy
+    x, y = g.coords.T
+    dx, dy = x - cx, y - cy
     rho = np.hypot(dx, dy) / r
     inside = rho < 1.0
     out = np.zeros(g.n_nodes)

@@ -113,7 +113,8 @@ class Grid:
     polar grid row i of u.reshape(shape) is ring i's profile, ordered by
     angle.  axis_nodes[a] holds the increasing node positions along axis a:
     the coordinate of a box axis, the ring radii and then the angles on
-    polar grids.
+    polar grids.  A grid stores its weights, axes and axis_nodes, no
+    per-node coordinates: coords and x1 are computed from axis_nodes.
 
     axes[a] = (periodic, face, length) describes the edges along axis a:
     every node of the index array is joined to its successor along a,
@@ -126,15 +127,14 @@ class Grid:
     assembles K.  Construct via build_grid().
     """
 
-    def __init__(self, domain, coords, weights, axes, axis_nodes):
+    def __init__(self, domain, weights, axes, axis_nodes):
         self.domain = domain
-        self.coords = coords
         self.weights = weights
         self.axes = axes              # per axis (periodic, face, length)
         self.axis_nodes = axis_nodes  # per axis its node positions, increasing
         self.shape = tuple(len(x) for x in axis_nodes)
-        self.n_nodes = coords.shape[0]
-        for a in (coords, weights, *axis_nodes):
+        self.n_nodes = weights.size
+        for a in (weights, *axis_nodes):
             a.setflags(write=False)
         self._h1_solve = None
 
@@ -152,6 +152,16 @@ class Grid:
     def resolution(self) -> dict:
         """The node counts by name: {"n"}, {"n1", "n2"} or {"nr", "ntheta"}."""
         return dict(zip(_KINDS[self.kind][2], self.shape))
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Cartesian coordinates of the nodes, one row per node, computed
+        from axis_nodes on each call: no grid stores them."""
+        if self.is_polar:
+            r, theta = self.axis_nodes
+            return np.column_stack([np.multiply.outer(r, f(theta)).ravel()
+                                    for f in (np.cos, np.sin)])
+        return np.column_stack([x.ravel() for x in np.meshgrid(*self.axis_nodes, indexing="ij")])
 
     @property
     def x1(self) -> np.ndarray:
@@ -239,6 +249,7 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
         r = rhs.reshape(n0, n) / m
         y = np.fft.rfft(r if periodic else np.concatenate([r, r[:, -2:0:-1]], axis=1),
                         axis=1)
+        del r                              # the rest works on y alone
         # in place on the float view: each level's odd rows are the next
         # level, and back substitution overwrites its even rows with x
         f = y.view(float)
@@ -269,8 +280,7 @@ def _build_box(spec: DomainSpec, counts: tuple[int, ...]) -> Grid:
           for a, (n, dx) in enumerate(zip(counts, dxs))]
     axes = [(False, math.prod((w for b, w in enumerate(ws) if b != a), start=1.0), dx)
             for a, dx in enumerate(dxs)]
-    coords = np.column_stack([c.ravel() for c in np.meshgrid(*xs, indexing="ij")])
-    return Grid(spec, coords, math.prod(ws).ravel(), axes, xs)
+    return Grid(spec, math.prod(ws).ravel(), axes, xs)
 
 
 def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
@@ -303,11 +313,6 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     dtheta = 2.0 * math.pi / ntheta
     thetas = np.arange(ntheta) * dtheta
 
-    coords = np.empty((nr * ntheta, 2))
-    rr = np.repeat(ring_r, ntheta)
-    tt = np.tile(thetas, nr)
-    coords[:, 0] = rr * np.cos(tt)
-    coords[:, 1] = rr * np.sin(tt)
     w = np.repeat(ring_w * dtheta, ntheta)
 
     face_r = bnd[1:-1]                      # interior face radii
@@ -316,7 +321,7 @@ def _build_polar(spec: DomainSpec, nr: int, ntheta: int) -> Grid:
     # ring (periodic), metric factor 1/r per ring
     axes = [(False, face_r[:, None] * dtheta, dist_r[:, None]),
             (True, ring_width[:, None], (ring_r * dtheta)[:, None])]
-    return Grid(spec, coords, w, axes, (ring_r, thetas))
+    return Grid(spec, w, axes, (ring_r, thetas))
 
 
 def build_grid(spec: DomainSpec, resolution) -> Grid:
@@ -324,11 +329,15 @@ def build_grid(spec: DomainSpec, resolution) -> Grid:
 
     resolution: node count n for an interval, (n1, n2) node counts for a
     rectangle, (nr, ntheta) ring/angle counts for disc and annulus; one
-    count stands for every direction.  At least 8 per direction; polar grids
-    need an even angle count so that axis reflections are exact node
-    permutations.
+    count stands for every direction.  Each count is an int, a Python or a
+    numpy one: a float, even an integral one, or a bool raises ValueError
+    (invalid-spec).  At least 8 per direction; polar grids need an even
+    angle count so that axis reflections are exact node permutations.
     """
-    counts = tuple(int(n) for n in np.broadcast_to(resolution, len(_KINDS[spec.kind][2])))
+    counts = np.broadcast_to(np.array(resolution, dtype=object), len(_KINDS[spec.kind][2]))
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts):
+        raise ValueError(f"invalid-spec: node counts must be integers, got {resolution!r}")
+    counts = tuple(map(int, counts))
     if min(counts) < 8:
         raise ValueError("resolution-too-small: need at least 8 per direction")
     if spec.kind in ("interval", "rectangle"):
@@ -489,7 +498,7 @@ def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:
 def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
     """Dump a field as CSV: the header `value`, then one node per row in
     the grid's node order, 17 significant digits.  The grid itself is not
-    written; grid_from_dict rebuilds it, coordinates and weights included,
+    written; grid_from_dict rebuilds it, weights and node positions included,
     from the report the dump belongs to.  The rows are made and written one
     block at a time (column_rows), so memory beyond u holds one block."""
     write_table(path, "value", column_rows(_check_field(grid, u)), "%.17g")

@@ -198,7 +198,9 @@ def _direction(spec: ProblemSpec, u: np.ndarray, a: float):
     """
     g = spec.grid
     p = functional.signed_power(u, spec.q - 1.0)
-    euclid = g.weights * (geometry.laplacian(g, u) - p)  # raw partial derivatives
+    euclid = geometry.laplacian(g, u)    # raw partial derivatives W (L_h u - p)
+    euclid -= p
+    euclid *= g.weights
     total = float(np.sum(euclid))
     mean = total / float(np.sum(g.weights))
     rhs = g.weights * -mean
@@ -239,7 +241,9 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
     raises RuntimeError, as does a non-finite one.
     """
     g = spec.grid
+    recipe = "dipole" if u0 is None else "given"
     u = g.x1.copy() if u0 is None else np.asarray(u0, dtype=float)
+    del u0                               # the projected start replaces it
     if float(np.max(u) - np.min(u)) == 0.0:
         raise ValueError("constant-start: a constant u0 has no sign-changing projection")
     u, phi = project(spec, u)
@@ -298,7 +302,7 @@ def minimize_energy(spec: ProblemSpec, config: SolveConfig, u0=None) -> SolveRep
         u=u, energy=phi, constraint_residual=check.residual,
         grad_norm=grad_norm, iterations=it, energy_trace=trace,
         seed=config.seed, q=spec.q, stop_reason=reason,
-        recipe="dipole" if u0 is None else "given",
+        recipe=recipe,
         levels=[{"resolution": g.resolution, "descents": 1, "iterations": it,
                  "energy": phi}],
     )
@@ -344,12 +348,17 @@ def multistart(spec: ProblemSpec, config: SolveConfig) -> SolveReport:
     ]
     levels = [{"resolution": grid.resolution, "descents": k,
                "iterations": sum(r.iterations for r in reports), "energy": best.energy}]
-    for fine in reversed(grids):
-        rep = minimize_energy(ProblemSpec(fine, spec.q), replace(config, seed=best.seed),
-                              u0=geometry.prolong(grid, fine, best.u))
-        rep.recipe = best.recipe
-        levels += rep.levels
-        best, grid = rep, fine
+    seed, recipe = best.seed, best.recipe
+    # one level is live at a time: the losing starts go here, and on each
+    # finer grid the prolongated winner replaces the coarser grid, with its
+    # solver, and the coarser winner
+    del reports, level
+    while grids:
+        fine = grids.pop()
+        u0, grid, best = geometry.prolong(grid, fine, best.u), fine, None
+        best = minimize_energy(ProblemSpec(grid, spec.q), replace(config, seed=seed), u0=u0)
+        best.recipe = recipe
+        levels += best.levels
     best.near_best, best.levels = near_best, levels
     return best
 

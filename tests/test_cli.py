@@ -519,14 +519,17 @@ def test_verify_rejects_a_field_that_is_not_the_reports(tmp_path, capsys):
 
 
 def test_verify_refuses_stray_domain_and_resolution_keys(tmp_path, capsys):
-    # a key the grid does not read is refused, not ignored; solve's own
-    # reports verify
+    # a key the grid does not read is refused, not ignored, and so is a node
+    # count the grid would truncate (16.7 rings used to verify as 16);
+    # solve's own reports verify
     out = tmp_path / "disc"
     assert run(["solve", "--domain", "disc", "--q", 1, "--nr", 16, "--ntheta", 32,
                 "--starts", 2, "--out", out]) == 0
     assert run(["verify", out / "report.json"]) == 0
     report = json.loads((out / "report.json").read_text())
-    for block, stray in (("domain", {"sides": [2, 2]}), ("resolution", {"n": 16})):
+    for block, stray in (("domain", {"sides": [2, 2]}), ("resolution", {"n": 16}),
+                         ("resolution", {"nr": 16.7}), ("resolution", {"nr": 16.0}),
+                         ("resolution", {"nr": True})):
         (out / "report.json").write_text(json.dumps(
             {**report, block: {**report[block], **stray}}))
         capsys.readouterr()

@@ -340,10 +340,16 @@ def test_axis_nodes_describe_the_grid(grid):
             assert np.array_equal(grid.coords[:, a].reshape(grid.shape),
                                   _axis_positions(grid)[a])
     if grid.is_polar:
-        # the products _build_polar forms, node by node in the flat order
+        # the products of ring radius and cos or sin of the angle, node by
+        # node in the flat order, bit for bit
         r, th = grid.axis_nodes
         rr, tt = np.repeat(r, th.size), np.tile(th, r.size)
         assert np.array_equal(grid.coords, np.column_stack([rr * np.cos(tt), rr * np.sin(tt)]))
+    assert np.array_equal(grid.x1, grid.coords[:, 0])
+    # the grid stores no per-node coordinates: no array it holds, directly
+    # or in its axes, has as many as n_nodes x 2 values
+    held = [*vars(grid).values(), *(x for axis in grid.axes for x in axis)]
+    assert all(np.size(a) < 2 * grid.n_nodes for a in held if isinstance(a, np.ndarray))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -482,6 +488,25 @@ def test_dicts_with_stray_keys_refused(disc_grid):
             geo.grid_from_dict({**d, **stray})
     with pytest.raises(ValueError, match="invalid-spec"):
         geo.DomainSpec.from_dict({"kind": "disc", "radius": 1.0, "radii": [0.5, 1.0]})
+
+
+def test_node_counts_must_be_integers(disc_grid):
+    # int(n) used to truncate: {"nr": 16.7, "ntheta": 32.9} built the 16x32
+    # disc; grid_from_dict and coarsen reach the check through build_grid
+    disc, interval = geo.DomainSpec.disc(1.0), geo.DomainSpec.interval(1.0)
+    for make in (lambda: geo.build_grid(disc, (16.7, 32)),
+                 lambda: geo.build_grid(disc, (16, 32.9)),
+                 lambda: geo.build_grid(interval, 9.99),
+                 lambda: geo.build_grid(interval, True),
+                 lambda: geo.build_grid(disc, (True, 32)),
+                 lambda: geo.build_grid(disc, (np.bool_(True), 32)),
+                 lambda: geo.grid_from_dict({"domain": disc.to_dict(),
+                                             "resolution": {"nr": 16.7, "ntheta": 32.9}})):
+        with pytest.raises(ValueError, match="invalid-spec"):
+            make()
+    # numpy integers stay accepted, and so does the int shape of a grid
+    for res in ((np.int64(16), np.int32(32)), np.array([16, 32]), disc_grid.shape):
+        assert geo.build_grid(disc, res).shape == tuple(map(int, res))
 
 
 def test_domain_spec_integer_sizes_written_as_floats():
