@@ -208,9 +208,9 @@ def cmd_bounds(args) -> int:
         print(f"N={n_dim}: upper={rep.upper:.7f}  m_r={rep.m_r:.7f}  "
               f"holds={rep.holds}  h3={rep.h3:.6f}")
     write_table(out / "bounds.csv", "N,upper_bound,m_r,holds,h3,h3_cubic_ok",
-                ((r["N"], r["upper_bound"], r["m_r"], r["holds"], r["h3"],
-                  "" if r["h3_cubic_ok"] is None else int(r["h3_cubic_ok"])) for r in rows),
-                "%d,%.17g,%.17g,%d,%.17g,%s")
+                "%d,%.17g,%.17g,%d,%.17g,%s",
+                *zip(*((r["N"], r["upper_bound"], r["m_r"], r["holds"], r["h3"],
+                        "" if r["h3_cubic_ok"] is None else int(r["h3_cubic_ok"])) for r in rows)))
     _write_json(out / "bounds.json", {"rows": rows, "all_hold": all_hold,
                                       "version": __version__})
     return 0 if all_hold else 2
@@ -220,6 +220,9 @@ def cmd_verify(args) -> int:
     from . import diagnostics, functional, geometry
     try:
         report = json.loads(Path(args.report).read_text())
+        for key in ("q", "energy"):
+            if not _fits(report[key], "float"):
+                raise ValueError(f"report key {key!r} must be a number, got {report[key]!r}")
         grid = geometry.grid_from_dict(report)
         field_path = Path(args.report).parent / report.get("field_csv", "field.csv")
         u = geometry.read_field_csv(grid, field_path)
@@ -260,9 +263,9 @@ def cmd_sweep(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "sweep.csv", "q,energy,iterations,constraint,converged",
-                ((q, rep.energy, rep.iterations, rep.constraint, rep.converged)
-                 for q, rep in zip(q_list, reports)),
-                "%.17g,%.17g,%d,%s,%d")
+                "%.17g,%.17g,%d,%s,%d",
+                *zip(*((q, rep.energy, rep.iterations, rep.constraint, rep.converged)
+                       for q, rep in zip(q_list, reports))))
     for q, rep in zip(q_list, reports):
         print(f"q={q:.4f}  energy={rep.energy:.9e}  ({rep.constraint})")
     print(f"wrote {out / 'sweep.csv'} ({elapsed:.2f}s)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import column_rows, functional, geometry, write_table
+from . import functional, geometry, write_table
 from .geometry import Grid
 
 __all__ = [
@@ -69,8 +69,7 @@ def zero_measure_curve(grid: Grid, u: np.ndarray, deltas) -> ZeroMeasureCurve:
 
 
 def write_zero_curve_csv(curve: ZeroMeasureCurve, path) -> None:
-    write_table(path, "delta,measure", column_rows(curve.deltas, curve.measures),
-                "%.17g,%.17g")
+    write_table(path, "delta,measure", "%.17g,%.17g", curve.deltas, curve.measures)
 
 
 def nodal_domains(grid: Grid, u: np.ndarray) -> int:

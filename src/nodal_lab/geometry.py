@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import column_rows, write_table
+from . import write_table
 
 # kind -> (its size key, its size count, the names of its node counts).
 # The size key names the size in DomainSpec.to_dict and from_dict, and the
@@ -499,9 +499,9 @@ def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
     """Dump a field as CSV: the header `value`, then one node per row in
     the grid's node order, 17 significant digits.  The grid itself is not
     written; grid_from_dict rebuilds it, weights and node positions included,
-    from the report the dump belongs to.  The rows are made and written one
-    block at a time (column_rows), so memory beyond u holds one block."""
-    write_table(path, "value", column_rows(_check_field(grid, u)), "%.17g")
+    from the report the dump belongs to.  write_table writes the rows one
+    block at a time, so memory beyond u holds one block."""
+    write_table(path, "value", "%.17g", _check_field(grid, u))
 
 
 def read_field_csv(grid: Grid, path) -> np.ndarray:

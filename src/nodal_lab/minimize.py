@@ -370,17 +370,15 @@ def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
     from a q > 1 minimizer, the constraint switches from the signed mean to
     the sign balance: that rung's report has recipe "warm-start" and
     constraint "sign-balance", and the previous rung's q is above 1."""
-    qs = [float(q) for q in q_list]
-    if not qs:
+    specs = [ProblemSpec(grid, float(q)) for q in q_list]
+    if not specs:
         raise ValueError("continuation needs at least one exponent")
-    if any(not 1.0 <= q < 2.0 for q in qs):
-        raise ValueError("q-out-of-range: continuation exponents must lie in [1, 2)")
+    qs = [spec.q for spec in specs]
     if sorted(qs, reverse=True) != qs:
         raise ValueError("continuation exponents must be sorted descending")
     reports = []
     prev = None
-    for q in qs:
-        spec = ProblemSpec(grid, q)
+    for spec in specs:
         if prev is None:
             rep = multistart(spec, config)
         else:

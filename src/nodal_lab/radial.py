@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import column_rows, write_table
+from . import write_table
 
 __all__ = [
     "RadialProfile", "ChainReport", "unit_ball_volume",
@@ -575,4 +575,4 @@ def h_energy_monotone(p: RadialProfile) -> dict:
 
 def write_profile_csv(p: RadialProfile, path) -> None:
     """Dump r, u, du rows with 17 significant digits."""
-    write_table(path, "r,u,du", column_rows(p.r, p.u, p.du), "%.17g,%.17g,%.17g")
+    write_table(path, "r,u,du", "%.17g,%.17g,%.17g", p.r, p.u, p.du)

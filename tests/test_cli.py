@@ -406,6 +406,13 @@ def test_sweep_command(tmp_path, capsys):
     assert run(["sweep", "--q-list", "1.0,1.5", "--out", tmp_path]) == 1
     assert run(["sweep", "--q-list", "2.4", "--out", tmp_path]) == 1
     assert run(["sweep", "--q-list", ",", "--out", tmp_path]) == 1
+    # every rung's exponent is checked before the first solve, and the error
+    # names it
+    capsys.readouterr()
+    assert run(["sweep", "--q-list", "2.5,1", "--out", tmp_path / "sw3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "got 2.5" in err[0], err
+    assert not (tmp_path / "sw3").exists()
 
 
 def test_sweep_single_matches_solve(tmp_path):
@@ -536,6 +543,23 @@ def test_verify_refuses_stray_domain_and_resolution_keys(tmp_path, capsys):
         assert run(["verify", out / "report.json"]) == 1, block
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "invalid-spec" in err[0], err
+
+
+def test_verify_refuses_a_q_or_energy_that_is_not_a_number(tmp_path, capsys):
+    # q and energy must be JSON numbers: a bool or a string is refused, not
+    # read by float(); an int is a number
+    out = tmp_path / "disc"
+    assert run(["solve", "--domain", "disc", "--q", 1, "--nr", 16, "--ntheta", 32,
+                "--starts", 2, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for key, value, code in (("q", True, 1), ("q", "1.0", 1),
+                             ("energy", str(report["energy"]), 1), ("q", 1, 0)):
+        (out / "report.json").write_text(json.dumps({**report, key: value}))
+        capsys.readouterr()
+        assert run(["verify", out / "report.json"]) == code, (key, value)
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
 
 
 def test_verify_header_only_dump(tmp_path):

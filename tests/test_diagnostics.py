@@ -356,7 +356,7 @@ def test_csv_writers_match_csv_module(tmp_path):
          [(1.6, -1.0 / 3.0, 0, "signed-mean-zero", True),
           (1.0, 1e300, 20000, "sign-balance", False)]),
     ]:
-        nodal_lab.write_table(got, ",".join(header), rows, fmt)
+        nodal_lab.write_table(got, ",".join(header), fmt, *zip(*rows))
         with open(ref, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(header)
@@ -365,16 +365,19 @@ def test_csv_writers_match_csv_module(tmp_path):
                          for row in rows)
         assert got.read_bytes() == ref.read_bytes()
 
-    # the writer formats blocks of rows: a table over two blocks long, the
-    # extreme values included and a short last block; rows from a one-shot
-    # generator; a header and no rows
-    n = 2 * nodal_lab._BLOCK + 3
-    col = np.resize(vals, n) * np.resize([1.0, -7.0, 0.5], n)
-    cases = [(["r", "u"], [col, col[::-1]], list(zip(col.tolist(), col[::-1].tolist()))),
-             (["value"], [col], ((v,) for v in col.tolist())),
-             (["delta", "measure"], [[], []], [])]
-    for header, columns, rows in cases:
-        nodal_lab.write_table(got, ",".join(header), rows, ",".join(["%.17g"] * len(header)))
+    # the writer formats blocks of rows: tables of one row, one row short of
+    # a block, a block, one row over and over two blocks long, the extreme
+    # values included; a list column beside array columns; a header and no
+    # rows
+    block = nodal_lab._BLOCK
+    cases = [(["delta", "measure"], [[], []])]
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        col = np.resize(vals, n) * np.resize([1.0, -7.0, 0.5], n)
+        cases += [(["value"], [col]), (["r", "u"], [col, col[::-1]]),
+                  (["r", "u", "du"], [col, col[::-1].tolist(), -col])]
+    for header, columns in cases:
+        nodal_lab.write_table(got, ",".join(header), ",".join(["%.17g"] * len(header)),
+                              *columns)
         _csv_module_reference(ref, header, columns)
         assert got.read_bytes() == ref.read_bytes()
 
