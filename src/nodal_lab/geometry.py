@@ -31,6 +31,7 @@ _KINDS = {
 }
 
 _CHUNK = 1 << 16       # characters of a field dump read_field_csv parses at once
+_DENSE_NODES = 256     # up to this many nodes, h1_solve is one dense product
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,10 @@ class Grid:
         return self.coords[:, 0]
 
     def h1_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (K + diag(w)) x = rhs by _separable_solver, built on the
-        first call and cached."""
+        """Solve (K + diag(w)) x = rhs, rhs of shape (n_nodes,) or a block
+        (n_nodes, k), by _separable_solver, built on the first call and
+        cached: on a grid of at most _DENSE_NODES nodes, one product with
+        the dense inverse it builds."""
         if self._h1_solve is None:
             self._h1_solve = _separable_solver(self.shape, self.axes, self.weights)
         return self._h1_solve(rhs)
@@ -214,7 +217,23 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
     x[2k] = (f[2k] - e[2k-1] x[2k-1] - e[2k] x[2k+1]) / b[2k], which leaves
     a tridiagonal system of the same form in the odd rows.  The level
     coefficients are real: they are built once, repeated per re/im pair and
-    applied to the float view of the spectrum.
+    applied to the float view of the spectrum.  The solve takes b of shape
+    (n_nodes,) or a block (n_nodes, k), whose k columns ride along a middle
+    axis; each column's x is bitwise that of its own solve.
+
+    On a grid of at most _DENSE_NODES nodes the solver returns h @ b
+    instead, with h = (K + diag(w))^{-1} built once as the block solve of
+    the identity (a direct solve on the coarsest level, as in multigrid:
+    Brandt, Math. Comp. 1977).  There the separable solve is per-call
+    overhead: an rFFT, about 40 small cyclic-reduction ops and an inverse
+    rFFT.  Per call with one BLAS thread (2-core x86-64, numpy 2.4) the
+    separable solve against the product took 47 against 2.4 us on the
+    8 x 16 disc, 66 against 6.8 us on the 16 x 16 rectangle (h built in
+    2.4 ms, 512 KiB), but 65 against 47 us on the 16 x 32 disc (built in
+    6.7 ms, 2 MiB), and from 576 nodes the product is the slower.  h is
+    not taken from np.linalg.inv: its first call in a process raised
+    ru_maxrss by 1.1 MiB on the 8 x 16 disc, the block solve and first
+    product by 0.5 MiB.
     """
     n0, n = (1, *shape)[-2:]
     w = weights.reshape(n0, n)
@@ -238,7 +257,7 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
         inv = 1.0 / b[0::2]
         right = e[0::2] * inv[:len(b) // 2]
         left = e[1::2] * inv[1:]
-        levels.append((inv, right, left))
+        levels.append((inv[:, None], right[:, None], left[:, None]))
         if len(b) == 1:
             break
         b = b[1::2] - right * e[0::2]
@@ -246,9 +265,11 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
         e = -left[:len(b) - 1] * e[2::2]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        r = rhs.reshape(n0, n) / m
-        y = np.fft.rfft(r if periodic else np.concatenate([r, r[:, -2:0:-1]], axis=1),
-                        axis=1)
+        # the k right-hand sides as (n0, k, n), C-ordered so that the float
+        # view below exists: the middle axis rides along
+        r = np.divide(rhs.reshape(n0, n, -1).transpose(0, 2, 1), m, order="C")
+        y = np.fft.rfft(r if periodic else np.concatenate([r, r[..., -2:0:-1]], axis=-1),
+                        axis=-1)
         del r                              # the rest works on y alone
         # in place on the float view: each level's odd rows are the next
         # level, and back substitution overwrites its even rows with x
@@ -264,9 +285,13 @@ def _separable_solver(shape: tuple[int, ...], axes, weights: np.ndarray):
             even *= inv
             even[:len(right)] -= right * odd
             even[1:] -= left * odd[:len(left)]
-        return np.fft.irfft(y, p, axis=1)[:, :n].ravel()
+        x = np.fft.irfft(y, p, axis=-1)[..., :n]
+        return x.transpose(0, 2, 1).reshape(rhs.shape)
 
-    return solve
+    if n0 * n > _DENSE_NODES:
+        return solve
+    h = solve(np.eye(n0 * n))              # column j is the solve of e_j
+    return lambda rhs: h @ rhs
 
 
 def _build_box(spec: DomainSpec, counts: tuple[int, ...]) -> Grid:

@@ -309,15 +309,54 @@ def test_h1_solve_matches_dense_solve(grid, seed):
     *(geo.build_grid(spec, (n0, 10))
       for n0 in (8, 9, 16, 17, 31)
       for spec in (geo.DomainSpec.rectangle(1.5, 1.0), geo.DomainSpec.disc(1.0),
-                   geo.DomainSpec.annulus(0.3, 1.0)))],
+                   geo.DomainSpec.annulus(0.3, 1.0))),
+    *(geo.build_grid(geo.DomainSpec.rectangle(1.5, 1.0), (16, n)) for n in (16, 17))],
     ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}")
 def test_h1_solve_at_the_edge_sizes_of_cyclic_reduction(grid):
     # the systems along axis 0 have n0 rows: 1 on the interval, a power of
-    # two, one more, and 31, whose levels shrink 31 -> 15 -> 7 -> 3 -> 1
+    # two, one more, and 31, whose levels shrink 31 -> 15 -> 7 -> 3 -> 1;
+    # the 16 x 16 rectangle has _DENSE_NODES nodes, the 16 x 17 one more
     b = np.random.default_rng(grid.n_nodes).standard_normal(grid.n_nodes)
     ref = np.linalg.solve(_dense_stiffness(grid) + np.diag(grid.weights), b)
     assert np.max(np.abs(grid.h1_solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert np.max(np.abs(grid.h1_solve(grid.weights) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    geo.build_grid(geo.DomainSpec.interval(1.0), 257),
+    geo.build_grid(geo.DomainSpec.rectangle(1.5, 1.0), (16, 17)),
+    geo.build_grid(geo.DomainSpec.rectangle(2.0, 1.0), (31, 24)),
+    geo.build_grid(geo.DomainSpec.disc(1.0), (16, 32)),
+    geo.build_grid(geo.DomainSpec.annulus(0.3, 1.0), (17, 20))],
+    ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}")
+def test_h1_block_solve_equals_column_solves(grid):
+    # above _DENSE_NODES h1_solve is the separable solver itself; a block of
+    # right-hand sides gives each column's solve bit for bit
+    assert grid.n_nodes > geo._DENSE_NODES
+    b = np.random.default_rng(grid.n_nodes).standard_normal((grid.n_nodes, 5))
+    x = grid.h1_solve(b)
+    assert x.shape == b.shape
+    for j in range(b.shape[1]):
+        assert np.array_equal(x[:, j], grid.h1_solve(b[:, j]))
+    assert np.array_equal(grid.h1_solve(b[:, :1]), x[:, :1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
+def test_h1_dense_and_separable_paths_agree(grid, seed):
+    # each path built on every grid of 64 to 640 nodes, by moving the
+    # threshold; h1_solve takes the dense one up to _DENSE_NODES nodes
+    def solver(dense_nodes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geo, "_DENSE_NODES", dense_nodes)
+            return geo._separable_solver(grid.shape, grid.axes, grid.weights)
+
+    separable, dense = solver(0), solver(grid.n_nodes)
+    b = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    ref = separable(b)
+    assert np.max(np.abs(dense(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    path = dense if grid.n_nodes <= geo._DENSE_NODES else separable
+    assert np.array_equal(grid.h1_solve(b), path(b))
 
 
 def _axis_positions(grid):
