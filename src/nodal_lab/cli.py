@@ -1,5 +1,5 @@
 """Command-line entry point: reproducible solve/radial/bounds/verify/sweep
-experiments with JSON reports and CSV field dumps.
+experiments with JSON reports and .npy field dumps.
 
 Exit-code contract: 0 success, 1 usage/config error, 2 numerical failure.
 All randomness is seed-determined and reports omit timing, so reruns with
@@ -139,13 +139,13 @@ def cmd_solve(args) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    geometry.write_field_csv(grid, report.u, out / "field.csv")
+    geometry.write_field_csv(grid, report.u, out / "field.npy")
     diag, curve = _diagnose(grid, report.u, cfg.q)
     diagnostics.write_zero_curve_csv(curve, out / "zero_curve.csv")
     _write_json(out / "diagnostics.json", diag)
     payload = report.to_dict(grid)
     payload["config"] = {k: v for k, v in cfg.to_dict().items() if k != "out"}
-    payload["field_csv"] = "field.csv"
+    payload["field"] = "field.npy"
     payload["version"] = __version__
     _write_json(out / "report.json", payload)
 
@@ -224,7 +224,10 @@ def cmd_verify(args) -> int:
             if not _fits(report[key], "float"):
                 raise ValueError(f"report key {key!r} must be a number, got {report[key]!r}")
         grid = geometry.grid_from_dict(report)
-        field_path = Path(args.report).parent / report.get("field_csv", "field.csv")
+        name = report["field"]                 # the dump sits beside its report
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"report key 'field' must be a bare file name, got {name!r}")
+        field_path = Path(args.report).parent / name
         u = geometry.read_field_csv(grid, field_path)
         spec = functional.ProblemSpec(grid, float(report["q"]))
         claimed = float(report["energy"])

@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from . import write_table
 
 # kind -> (its size key, its size count, the names of its node counts).
 # The size key names the size in DomainSpec.to_dict and from_dict, and the
@@ -30,7 +27,6 @@ _KINDS = {
     "annulus": ("radii", 2, ("nr", "ntheta")),
 }
 
-_CHUNK = 1 << 16       # characters of a field dump read_field_csv parses at once
 _DENSE_NODES = 256     # up to this many nodes, h1_solve is one dense product
 
 
@@ -521,36 +517,37 @@ def gradient_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:
 # -- field I/O ---------------------------------------------------------------
 
 def write_field_csv(grid: Grid, u: np.ndarray, path) -> None:
-    """Dump a field as CSV: the header `value`, then one node per row in
-    the grid's node order, 17 significant digits.  The grid itself is not
-    written; grid_from_dict rebuilds it, weights and node positions included,
-    from the report the dump belongs to.  write_table writes the rows one
-    block at a time, so memory beyond u holds one block."""
-    write_table(path, "value", "%.17g", _check_field(grid, u))
+    """Dump a field as a .npy array (the name waits for ROADMAP item 20):
+    the exact float64 values, one per node in the grid's node order.  The
+    grid is not written; grid_from_dict rebuilds it from the report the
+    dump belongs to.  Given the open file, np.save appends no suffix to
+    path, and its header is fixed, so reruns write the same bytes."""
+    with open(path, "wb") as fh:
+        np.save(fh, _check_field(grid, u), allow_pickle=False)
 
 
 def read_field_csv(grid: Grid, path) -> np.ndarray:
-    """Read back a field dump of grid.
+    """Read back write_field_csv's .npy dump of grid, bit for bit.
 
-    Raises ValueError unless the dump has write_field_csv's header, one row
-    per node of grid and finite values (%.17g round-trips every double).
-    Lines are read in chunks of about _CHUNK characters, and numpy's
-    str -> float cast fills each chunk into the result, so memory beyond
-    the field holds one chunk, never the file.
+    Raises ValueError, naming the cause, unless the file is a version 1.0
+    .npy array (np.save writes that for any 1-D array) of <f8, shaped
+    (grid.n_nodes,), with all its data and no more, and finite.  The header
+    is checked first: nothing is unpickled, and no claimed shape allocated.
     """
-    path = Path(path)
-    u = np.empty(grid.n_nodes)
-    n = 0
-    with path.open(newline="") as fh:
-        if fh.readline().rstrip("\r\n") != "value":
-            raise ValueError(f"field dump {path} has no 'value' header")
-        while rows := fh.readlines(_CHUNK):
-            if n + len(rows) <= grid.n_nodes:
-                u[n:n + len(rows)] = rows
-            n += len(rows)
-    if n != grid.n_nodes:
-        raise ValueError(f"field dump {path} has {n or 'no'} rows, "
-                         f"its grid {grid.n_nodes} nodes")
+    with open(path, "rb") as fh:
+        try:
+            if (version := np.lib.format.read_magic(fh)) != (1, 0):
+                raise ValueError(f"version {version}, not (1, 0)")
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ValueError(f"field dump {path} is not a .npy array: {exc}") from None
+        if dtype != np.dtype("<f8") or shape != (grid.n_nodes,):
+            raise ValueError(f"field dump {path} holds {dtype.str} of shape {shape}, "
+                             f"not <f8 of shape ({grid.n_nodes},)")
+        u = np.empty(grid.n_nodes)
+        if fh.readinto(u) != u.nbytes or fh.read(1):
+            raise ValueError(f"field dump {path} is truncated or overlong: its data "
+                             f"are not the {u.nbytes} bytes its header claims")
     if not np.isfinite(u).all():
         raise ValueError(f"field dump {path} contains non-finite values")
     return u

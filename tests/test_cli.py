@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -153,7 +154,7 @@ def test_solve_interval_and_verify(tmp_path, capsys):
     assert report["config"]["seed"] == 3
     assert report["seed"] == report["near_best"][0]["seed"]
     assert "version" in report
-    assert (out / "field.csv").exists()
+    assert (out / "field.npy").exists()
     assert (out / "diagnostics.json").exists()
     assert (out / "zero_curve.csv").exists()
 
@@ -189,7 +190,7 @@ def test_solve_deterministic_bytes(tmp_path):
             "--seed", 9, "--starts", 2]
     run(args + ["--out", tmp_path / "a"])
     run(args + ["--out", tmp_path / "b"])
-    for name in ("report.json", "field.csv", "diagnostics.json", "zero_curve.csv"):
+    for name in ("report.json", "field.npy", "diagnostics.json", "zero_curve.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
@@ -203,7 +204,7 @@ def test_solve_output_schema(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {
         "config", "constraint", "constraint_residual", "converged", "domain",
-        "energy", "energy_trace", "field_csv", "grad_norm", "iterations",
+        "energy", "energy_trace", "field", "grad_norm", "iterations",
         "levels", "near_best", "q", "recipe", "resolution", "seed", "stop_reason",
         "version"}
     assert set(report["config"]) == {
@@ -377,9 +378,9 @@ def test_verify_closed_form_radial_on_disc(tmp_path):
     u = np.repeat(rad.closed_form_q1(2, r=grid.axis_nodes[0]).u, grid.shape[1])
     out = tmp_path / "cf"
     out.mkdir()
-    geo.write_field_csv(grid, u, out / "field.csv")
+    geo.write_field_csv(grid, u, out / "field.npy")
     report = {"q": 1.0, "energy": fn.energy(fn.ProblemSpec(grid, 1.0), u),
-              "field_csv": "field.csv", **grid.to_dict()}
+              "field": "field.npy", **grid.to_dict()}
     (out / "report.json").write_text(json.dumps(report))
     assert run(["verify", out / "report.json"]) == 0
 
@@ -437,68 +438,131 @@ def test_solve_nonconvergence_exit_two(tmp_path):
     assert report["stop_reason"] == "max-iterations-exceeded"
 
 
-def test_verify_rejects_nonfinite_dump(tmp_path):
+def _npy(values, dtype="<f8"):
+    """The bytes np.save writes for values."""
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(values, dtype=dtype), allow_pickle=dtype == object)
+    return buf.getvalue()
+
+
+class _Tripwire:
+    """Unpickling this creates the file it names."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def test_verify_rejects_nonfinite_dump(tmp_path, capsys):
+    # every fault of a dump is refused with one error line that names it
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
-    rows = ["%.17g" % x for x in grid.x1.tolist()]
-    energy = fn.energy(fn.ProblemSpec(grid, 1.0), grid.x1)
+    x1 = grid.x1
+    energy = fn.energy(fn.ProblemSpec(grid, 1.0), x1)
+    tripped = tmp_path / "unpickled"
+    swapped = x1.copy()
+    swapped[[3, 4]] = x1[[4, 3]]
+    text = "value\r\n" + "".join("%.17g\r\n" % v for v in x1.tolist())
+    q1 = {"q": 1.0}
 
-    def dump(body):
-        return "value\n" + "\n".join(body)
-
-    dumps = {                          # name: (field.csv, the report's q entry)
-        "nonfinite": (dump(rows[:-1] + ["nan"]), {"q": 1.0}),
-        "empty": ("", {"q": 1.0}),
-        "truncated": (dump(rows)[:-6], {"q": 1.0}),     # ends inside row 15 of 16
-        "garbled": (dump(rows[:-1] + [rows[-1] + ",1.0"]), {"q": 1.0}),
-        "short": (dump(rows[:-1]), {"q": 1.0}),
-        "long": (dump(rows + rows[-1:]), {"q": 1.0}),
-        "no-q": (dump(rows), {}),
-        "null-q": (dump(rows), {"q": None}),
+    dumps = {                  # name: (field.npy bytes, the report's q entry, the error)
+        "nonfinite": (_npy([*x1[:-1], np.nan]), q1, "non-finite values"),
+        "empty": (b"", q1, "is not a .npy array: EOF"),
+        "truncated": (_npy(x1)[:-6], q1, "is truncated"),   # ends inside value 16 of 16
+        "header-cut": (_npy(x1)[:50], q1, "is not a .npy array: EOF"),
+        "garbled": (_npy(x1).replace(b"'shape'", b"'shope'"), q1, "is not a .npy array"),
+        "version": (_npy(x1).replace(b"NUMPY\x01", b"NUMPY\x02", 1), q1, "not (1, 0)"),
+        "short": (_npy(x1[:-1]), q1, "holds <f8 of shape (15,), not <f8 of shape (16,)"),
+        "long": (_npy([*x1, x1[-1]]), q1, "of shape (17,),"),
+        "overlong": (_npy(x1) + b"\0", q1, "overlong"),
+        "zero-length": (_npy([]), q1, "of shape (0,),"),
+        "float32": (_npy(x1, "<f4"), q1, "holds <f4 of shape (16,),"),
+        "big-endian": (_npy(x1, ">f8"), q1, "holds >f8 of shape (16,),"),
+        "2-D": (_npy(x1.reshape(4, 4)), q1, "of shape (4, 4),"),
+        "object": (_npy([_Tripwire(tripped)] * 16, object), q1, "holds |O of shape (16,),"),
+        "text": (text.encode(), q1, "is not a .npy array"),   # the dump of earlier versions
+        "no-q": (_npy(x1), {}, "'q'"),
+        "null-q": (_npy(x1), {"q": None}, "'q' must be a number"),
         # value edits that keep the format: the energy check rejects them
-        "rewritten": (dump(rows[:-1] + ["123"]), {"q": 1.0}),
-        "reordered": (dump(rows[:3] + [rows[4], rows[3]] + rows[5:]), {"q": 1.0}),
-        "intact": (dump(rows), {"q": 1.0}),
+        "rewritten": (_npy([*x1[:-1], 123.0]), q1, "has energy"),
+        "reordered": (_npy(swapped), q1, "has energy"),
+        # read in full, the intact dump fails only the thresholds
+        "intact": (_npy(x1), q1, None),
     }
-    for name, (field, q) in dumps.items():
+    for name, (field, q, error) in dumps.items():
         out = tmp_path / name
         out.mkdir()
-        (out / "field.csv").write_text(field)
-        report = {**q, "energy": energy, "field_csv": "field.csv", **grid.to_dict()}
-        (out / "report.json").write_text(json.dumps(report))
-        # the intact dump is read and fails only the thresholds
-        assert run(["verify", out / "report.json"]) == (2 if name == "intact" else 1), name
-
-
-def test_verify_rejects_bad_rows_past_the_first_chunk(tmp_path, capsys):
-    # the reader takes a dump in chunks of lines: a dump of several chunks,
-    # with the writer's line ends and the bad row in its third chunk
-    grid = geo.build_grid(geo.DomainSpec.interval(1.0), 10000)
-    rows = ["%.17g\r\n" % x for x in grid.x1.tolist()]
-    bad = 9000
-    assert sum(map(len, rows[:bad])) > 2 * geo._CHUNK
-    energy = fn.energy(fn.ProblemSpec(grid, 1.0), grid.x1)
-    dumps = {                          # name: (field.csv rows, the error it gives)
-        "garbled": (rows[:bad] + [rows[bad][:-2] + ",1.0\r\n"] + rows[bad + 1:],
-                    "could not convert string to float"),
-        "nonfinite": (rows[:bad] + ["nan\r\n"] + rows[bad + 1:], "non-finite values"),
-        "short": (rows[:bad] + rows[bad + 1:], "has 9999 rows, its grid 10000 nodes"),
-        "long": (rows[:bad] + rows[bad:bad + 1] + rows[bad:], "has 10001 rows"),
-        # read in full, these fail only the thresholds
-        "intact": (rows, None),
-        "unterminated": (rows[:-1] + [rows[-1][:-2]], None),
-    }
-    for name, (body, error) in dumps.items():
-        out = tmp_path / name
-        out.mkdir()
-        (out / "field.csv").write_bytes(("value\r\n" + "".join(body)).encode())
-        report = {"q": 1.0, "energy": energy, "field_csv": "field.csv", **grid.to_dict()}
+        (out / "field.npy").write_bytes(field)
+        report = {**q, "energy": energy, "field": "field.npy", **grid.to_dict()}
         (out / "report.json").write_text(json.dumps(report))
         capsys.readouterr()
         assert run(["verify", out / "report.json"]) == (2 if error is None else 1), name
         err = capsys.readouterr().err.splitlines()
         if error is not None:
-            assert len(err) == 1 and err[0].startswith("error: unreadable dump"), (name, err)
+            assert len(err) == 1 and err[0].startswith("error:"), (name, err)
             assert error in err[0], (name, err)
+    assert not tripped.exists()
+
+
+def test_verify_rejects_bad_rows_past_the_first_chunk(tmp_path, capsys):
+    # a dump of 80 kB, with its fault past its first 64 KiB
+    grid = geo.build_grid(geo.DomainSpec.interval(1.0), 10000)
+    x1 = grid.x1
+    bad = 9000
+    data = _npy(x1)
+    assert 8 * bad > 1 << 16
+    energy = fn.energy(fn.ProblemSpec(grid, 1.0), x1)
+    rewritten = x1.copy()
+    rewritten[bad] = 123.0
+    dumps = {                          # name: (field.npy bytes, the error it gives)
+        "nonfinite": (_npy([*x1[:bad], np.nan, *x1[bad + 1:]]), "non-finite values"),
+        "truncated": (data[:-8 * (10000 - bad) - 3], "is truncated"),
+        "short": (data[:-8], "is truncated"),          # header claims 10000, data 9999
+        "long": (data + data[-8:], "overlong"),
+        "rewritten": (_npy(rewritten), "has energy"),
+        # read in full, this fails only the thresholds
+        "intact": (data, None),
+    }
+    for name, (field, error) in dumps.items():
+        out = tmp_path / name
+        out.mkdir()
+        (out / "field.npy").write_bytes(field)
+        report = {"q": 1.0, "energy": energy, "field": "field.npy", **grid.to_dict()}
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["verify", out / "report.json"]) == (2 if error is None else 1), name
+        err = capsys.readouterr().err.splitlines()
+        if error is not None:
+            assert len(err) == 1 and err[0].startswith("error:"), (name, err)
+            assert error in err[0], (name, err)
+
+
+def test_verify_reads_the_dump_beside_its_report(tmp_path, capsys):
+    # the report's field entry must be a bare file name: a path out of the
+    # report's directory is refused, even to a dump that would verify
+    out = tmp_path / "run"
+    assert run(["solve", "--domain", "interval", "--q", 1, "--n", 64, "--starts", 1,
+                "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    (tmp_path / "field.npy").write_bytes((out / "field.npy").read_bytes())
+    (out / "sub").mkdir()
+    (out / "sub" / "field.npy").write_bytes((out / "field.npy").read_bytes())
+    for name in ("../field.npy", str(tmp_path / "field.npy"), "sub/field.npy", "..",
+                 "", "field.npy/", 3, None):
+        (out / "report.json").write_text(json.dumps({**report, "field": name}))
+        capsys.readouterr()
+        assert run(["verify", out / "report.json"]) == 1, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "must be a bare file name" in err[0], (name, err)
+    # a report of earlier versions names its dump under field_csv
+    del report["field"]
+    (out / "report.json").write_text(json.dumps({**report, "field_csv": "field.npy"}))
+    capsys.readouterr()
+    assert run(["verify", out / "report.json"]) == 1
+    assert "KeyError('field')" in capsys.readouterr().err
+    (out / "report.json").write_text(json.dumps({**report, "field": "field.npy"}))
+    assert run(["verify", out / "report.json"]) == 0
 
 
 def test_verify_rejects_a_field_that_is_not_the_reports(tmp_path, capsys):
@@ -511,18 +575,19 @@ def test_verify_rejects_a_field_that_is_not_the_reports(tmp_path, capsys):
     grid = geo.grid_from_dict(json.loads((out / "report.json").read_text()))
     r2 = np.sum(grid.coords ** 2, axis=1)
     radial = minimize_energy(fn.ProblemSpec(grid, 1.5), SolveConfig(), u0=r2 - 0.5).u
-    geo.write_field_csv(grid, radial, out / "field.csv")
+    geo.write_field_csv(grid, radial, out / "field.npy")
     capsys.readouterr()
     assert run(["verify", out / "report.json"]) == 1
     assert "has energy" in capsys.readouterr().err
 
-    # a dump in the four-column format of earlier versions
-    cols = [*grid.coords.T, grid.weights, radial]
-    (out / "field.csv").write_text("x,y,weight,value\r\n" + "".join(
-        ",".join("%.17g" % v for v in row) + "\r\n" for row in zip(*cols)))
+    # a text dump of earlier versions, named by the report
+    report = json.loads((out / "report.json").read_text())
+    (out / "field.csv").write_text("value\r\n" + "".join(
+        "%.17g\r\n" % v for v in radial.tolist()))
+    (out / "report.json").write_text(json.dumps({**report, "field": "field.csv"}))
     assert run(["verify", out / "report.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'value' header" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not a .npy array" in err[0]
 
 
 def test_verify_refuses_stray_domain_and_resolution_keys(tmp_path, capsys):
@@ -563,16 +628,19 @@ def test_verify_refuses_a_q_or_energy_that_is_not_a_number(tmp_path, capsys):
 
 
 def test_verify_header_only_dump(tmp_path):
-    # rejected with one error line and no numpy warning; a child process,
-    # because pytest records warnings instead of printing them
+    # a header with no values, claimed or given, is rejected with one error
+    # line and no numpy warning; a child process, because pytest records
+    # warnings instead of printing them
     grid = geo.build_grid(geo.DomainSpec.interval(1.0), 16)
-    (tmp_path / "field.csv").write_text("value\r\n")
-    report = {"q": 1.0, "energy": 0.0, "field_csv": "field.csv", **grid.to_dict()}
+    report = {"q": 1.0, "energy": 0.0, "field": "field.npy", **grid.to_dict()}
     (tmp_path / "report.json").write_text(json.dumps(report))
-    proc = run_child("-m", "nodal_lab.cli", "verify", tmp_path / "report.json")
-    assert proc.returncode == 1
-    assert "has no rows" in proc.stderr
-    assert "UserWarning" not in proc.stderr
+    header = _npy(np.zeros(16))[:-8 * 16]
+    for dump, error in ((header, "is truncated"), (_npy([]), "of shape (0,),")):
+        (tmp_path / "field.npy").write_bytes(dump)
+        proc = run_child("-m", "nodal_lab.cli", "verify", tmp_path / "report.json")
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and error in proc.stderr, proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 def test_verify_reads_symmetry_and_domains_from_solve(tmp_path, capsys, monkeypatch):
@@ -600,8 +668,8 @@ def test_verify_reads_symmetry_and_domains_from_solve(tmp_path, capsys, monkeypa
         f"constraint_residual={report['constraint_residual']:.3e}",
         "verify: ok"]
 
-    rows = (out / "field.csv").read_text().splitlines()
-    rows[1] = "%.17g" % (2.0 * float(rows[1]))
-    (out / "field.csv").write_text("\n".join(rows) + "\n")
+    u = np.load(out / "field.npy")
+    u[0] *= 2.0
+    np.save(out / "field.npy", u)
     assert run(["verify", out / "report.json"]) == 1
     assert "has energy" in capsys.readouterr().err

@@ -326,13 +326,6 @@ def _csv_module_reference(path, header, columns):
 def test_csv_writers_match_csv_module(tmp_path):
     vals = np.array([-0.0, 5e-324, 1e300, -1e300, -2.5, 1.0 / 3.0, -5e-324, 0.1])
     ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
-    for g in (geo.build_grid(geo.DomainSpec.interval(1.0), 8),
-              geo.build_grid(geo.DomainSpec.disc(1.0), (8, 8))):
-        u = np.tile(vals, g.n_nodes // vals.size)
-        geo.write_field_csv(g, u, got)
-        _csv_module_reference(ref, ["value"], [u])
-        assert got.read_bytes() == ref.read_bytes()
-
     p = rad.RadialProfile(n_dim=2, q=1.0, r=np.linspace(0.125, 1.0, 8),
                           u=vals, du=-vals[::-1])
     rad.write_profile_csv(p, got)

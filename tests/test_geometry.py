@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nodal_lab
 from nodal_lab import diagnostics as dg
 from nodal_lab import geometry as geo
 
@@ -438,41 +437,34 @@ def test_gradient_magnitude_linear(disc_grid):
 
 
 def test_field_csv_roundtrip(tmp_path, disc_grid, interval_grid, annulus_grid):
+    # the dump is np.save's array, written at the path as given (no .npy
+    # suffix appended), the same bytes on a rerun, and read back bitwise
     rng = np.random.default_rng(1)
     values = rng.standard_normal(disc_grid.n_nodes)
     values[:5] = [-0.0, 5e-324, -5e-324, 1e300, -1e300]
-    # the rows the reader's first chunk takes from a dump of these values
-    path = tmp_path / "long.csv"
-    geo.write_field_csv(disc_grid, values, path)
-    with path.open(newline="") as fh:
-        fh.readline()
-        chunk = len(fh.readlines(geo._CHUNK))
-    assert chunk < disc_grid.n_nodes // 2
-    # interval row counts on both sides of the writer's block and of the
-    # reader's chunk
-    sides = [m + d for m in (nodal_lab._BLOCK, chunk) for d in (-1, 0, 1)]
+    path = tmp_path / "field.dump"
     rect = geo.build_grid(geo.DomainSpec.rectangle(2.0, 1.0), (16, 12))
-    grids = [disc_grid, interval_grid, annulus_grid, rect]
-    grids += [geo.build_grid(geo.DomainSpec.interval(1.0), n) for n in sides]
-    for g in grids:
+    for g in (disc_grid, interval_grid, annulus_grid, rect):
         u = values[:g.n_nodes]
         geo.write_field_csv(g, u, path)
-        back = geo.read_field_csv(g, path)
-        assert np.array_equal(back, u)
-        assert np.array_equal(np.signbit(back), np.signbit(u))      # -0.0 stays
-        lines = path.read_bytes().split(b"\r\n")
-        assert lines[0] == b"value" and lines[-1] == b""
-        assert len(lines) == g.n_nodes + 2
+        first = path.read_bytes()
+        assert geo.read_field_csv(g, path).tobytes() == u.tobytes()   # -0.0 stays
+        assert np.load(path).tobytes() == u.tobytes()
+        assert first[:6] == b"\x93NUMPY" and len(first) == 128 + 8 * g.n_nodes
+        geo.write_field_csv(g, u.copy(), path)
+        assert path.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["field.dump"]
 
 
 def test_field_csv_io_holds_one_block(tmp_path):
-    # a 131,072-row dump (a 1 MiB field) took 4.1 MiB of traced memory to
+    # a 131,072-value dump (a 1 MiB field) took 4.1 MiB of traced memory to
     # write and 12.3 MiB to read while whole columns were held as Python
-    # floats and strings; one block or chunk at a time, the read holds the
-    # 1 MiB result and one chunk
+    # floats and strings, and up to 0.5 and 2 MiB as CSV formatted and
+    # parsed one block at a time; as .npy the write holds no copy of the
+    # field, and the read the 1 MiB result and its 0.125 MiB finiteness mask
     grid = geo.build_grid(geo.DomainSpec.disc(1.0), (256, 512))
     u = np.random.default_rng(2).standard_normal(grid.n_nodes)
-    path = tmp_path / "field.csv"
+    path = tmp_path / "field.npy"
     tracemalloc.start()
     try:
         geo.write_field_csv(grid, u, path)
@@ -483,8 +475,8 @@ def test_field_csv_io_holds_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back, u)
-    assert write_peak < 0.5 * 2**20
-    assert read_peak < 2 * 2**20
+    assert write_peak < 0.1 * 2**20
+    assert read_peak < 1.25 * 2**20
 
 
 def test_grid_dict_roundtrip(disc_grid, interval_grid, annulus_grid):
