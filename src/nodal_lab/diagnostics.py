@@ -234,9 +234,12 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
                               radiality_deviation=dev, passed=True)
 
     thetas = grid.axis_nodes[1]
-    nr = grid.shape[0]
-    # projecting onto e^{+i theta} puts the axis at the argument of the mode
-    mode = complex(np.sum(grid.weights * u * np.tile(np.exp(1j * thetas), nr)))
+    profiles = u.reshape(grid.shape)
+    # projecting onto e^{+i theta} puts the axis at the argument of the mode;
+    # the weights are constant along a ring, so it is summed ring by ring
+    ring_w = grid.weights[::grid.shape[1]]
+    mode = complex(float(ring_w @ (profiles @ np.cos(thetas))),
+                   float(ring_w @ (profiles @ np.sin(thetas))))
     scale = float(np.dot(grid.weights, np.abs(u)))
     if abs(mode) > 1e-8 * max(scale, 1e-300):
         axis = float(np.angle(mode))
@@ -244,7 +247,6 @@ def foliated_schwarz_check(grid: Grid, u: np.ndarray,
     else:
         # axis-undefined for the first mode; cross-check rule: point of
         # maximum on the ring with the largest angular variance
-        profiles = u.reshape(grid.shape)
         ring_var = np.var(profiles - profiles.mean(axis=1)[:, None], axis=1)
         j = int(np.argmax(ring_var))
         axis = float(thetas[int(np.argmax(profiles[j]))])

@@ -7,6 +7,14 @@ neighbours in the node-index array with finite-volume transmissibilities
 tau = face/length, so minimizers of the discrete energy satisfy the natural
 zero-flux boundary condition automatically; no boundary terms are ever
 assembled.
+
+build_grid makes every grid, those of grid_from_dict, the command line's
+RunConfig and coarsen too, so its node-count checks hold for all of them.  One neighbour walk (_walk) serves the Dirichlet energy, edge_form,
+laplacian, gradient_magnitude and the diagnostics' quantization floor and
+nodal-domain labelling; no edge list is stored.  The axis node positions a
+grid stores are what prolong and the symmetry diagnostics read.  Exact
+reflections, which no command needs, live in tests/conftest.py as the
+reference the tests hold the polarization defect to.
 """
 
 from __future__ import annotations

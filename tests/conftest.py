@@ -1,10 +1,16 @@
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from nodal_lab import functional, geometry, minimize
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -194,3 +200,15 @@ def property_fields(draw):
     elif kind == "flat":
         u = draw(st.floats(-10.0, 10.0)) + 10.0 ** draw(st.floats(-6.0, -1.0)) * u
     return u
+
+
+@functools.cache
+def load_bench(name):
+    """The module bench/<name>.py, loaded by path: bench/ is no package, and
+    the benchmark harness runs its files as scripts."""
+    spec = importlib.util.spec_from_file_location(f"nodal_lab_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

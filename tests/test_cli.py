@@ -185,14 +185,24 @@ def test_printed_energies_match_outputs(tmp_path, capsys):
     assert printed() == [pytest.approx(float(r.split(",")[1]), rel=1e-9) for r in rows]
 
 
-def test_solve_deterministic_bytes(tmp_path):
-    args = ["solve", "--domain", "interval", "--q", 1.25, "--n", 256,
-            "--seed", 9, "--starts", 2]
-    run(args + ["--out", tmp_path / "a"])
-    run(args + ["--out", tmp_path / "b"])
-    for name in ("report.json", "field.npy", "diagnostics.json", "zero_curve.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+def output_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("args", [
+    ["--domain", "interval", "--q", 1.25, "--n", 256, "--seed", 9, "--starts", 2],
+    ["--domain", "disc", "--q", 1, "--nr", 16, "--ntheta", 32, "--starts", 2],
+    ["--domain", "rectangle", "--q", 1, "--n", 16, "--starts", 2],
+    ["--domain", "annulus", "--q", 1, "--nr", 16, "--ntheta", 32, "--starts", 2],
+    ["--domain", "disc", "--q", 1.5, "--nr", 16, "--ntheta", 32, "--starts", 4,
+     "--seed", 3],
+], ids=["interval", "disc", "rectangle", "annulus", "disc-4-starts"])
+def test_solve_deterministic_bytes(tmp_path, args):
+    assert run(["solve", *args, "--out", tmp_path / "a"]) == 0
+    assert run(["solve", *args, "--out", tmp_path / "b"]) == 0
+    files = output_bytes(tmp_path / "a")
+    assert set(files) == {"report.json", "field.npy", "diagnostics.json", "zero_curve.csv"}
+    assert files == output_bytes(tmp_path / "b")
 
 
 def test_solve_output_schema(tmp_path):
@@ -223,6 +233,50 @@ def test_solve_output_schema(tmp_path):
     assert set(diag["pde_residual"]) == {
         "bracket_violation", "flux_norm", "interior_norm", "quantization_floor"}
     assert set(diag["zero_measure"]) == {"floor", "kappa_hat", "measure_at_floor"}
+
+
+def test_written_json_is_strict_and_solve_reports_keep_their_rules(tmp_path):
+    # every JSON file the commands write is strict JSON, with no NaN or
+    # Infinity.  A solve report names one of the descent's three stops, is
+    # converged unless it hit the iteration cap, names the constraint of its
+    # q, and its domain holds the kind and that kind's size key alone: a
+    # float on the interval and the disc, two on the rectangle and the annulus
+    commands = [
+        ["solve", "--domain", "interval", "--q", 1, "--n", 64, "--starts", 1],
+        ["solve", "--domain", "rectangle", "--q", 1.5, "--n", 16, "--starts", 2],
+        ["solve", "--domain", "disc", "--q", 1.5, "--nr", 8, "--ntheta", 16, "--starts", 1],
+        ["solve", "--domain", "annulus", "--q", 1, "--nr", 16, "--ntheta", 32, "--starts", 2],
+        ["sweep", "--domain", "interval", "--n", 64, "--q-list", "1.5,1", "--starts", 1],
+        ["radial", "--N", 2, "--q", 1],
+        ["bounds", "--n-max", 4],
+    ]
+    for i, argv in enumerate(commands):
+        assert run([*argv, "--out", tmp_path / str(i)]) == 0, argv
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON number {name}")
+
+    stops = {"grad-tol", "no-descent-step", "max-iterations-exceeded"}
+    sizes = {"interval": ("half_length", float), "rectangle": ("sides", [float, float]),
+             "disc": ("radius", float), "annulus": ("radii", [float, float])}
+    paths = sorted(tmp_path.rglob("*.json"))
+    kinds = []
+    for path in paths:
+        data = json.loads(path.read_text(), parse_constant=reject)
+        if path.name != "report.json":
+            continue
+        stop, domain = data["stop_reason"], data["domain"]
+        assert stop in stops and data["converged"] == (stop != "max-iterations-exceeded")
+        assert data["constraint"] == ("sign-balance" if data["q"] == 1.0
+                                      else "signed-mean-zero")
+        key, types = sizes[domain["kind"]]
+        assert set(domain) == {"kind", key}, domain
+        size = domain[key]
+        assert ([type(v) for v in size] if type(size) is list else type(size)) == types, domain
+        kinds.append(domain["kind"])
+    assert sorted(kinds) == sorted(sizes)
+    assert {p.name for p in paths} == {"report.json", "diagnostics.json",
+                                       "radial_report.json", "bounds.json"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,6 +406,12 @@ def test_radial_command_q15(tmp_path):
     assert abs(report["shoot"]["du_at_1"]) <= 1e-8
     assert report["shoot"]["sign_changes"] == 1
     assert report["m_r"] == rad.m_radial(2, 1.5)
+    # q > 1 in N = 5 takes the rescaled unit profile too; reruns are byte-identical
+    for d in ("n5-a", "n5-b"):
+        assert run(["radial", "--N", 5, "--q", 1.5, "--out", tmp_path / d]) == 0
+    files = output_bytes(tmp_path / "n5-a")
+    assert set(files) == {"profile.csv", "radial_report.json"}
+    assert files == output_bytes(tmp_path / "n5-b")
 
 
 def test_bounds_command(tmp_path, capsys):
