@@ -13,14 +13,28 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__, write_table
 
-_DOMAINS = ("interval", "rectangle", "disc", "annulus")
-# rectangle and annulus sizes when the config leaves them unset
-_SIZE_DEFAULTS = {"sides": [1.0, 1.0], "radii": [0.5, 1.0]}
+# each kind's domain and resolution blocks where no config or flag sets them
+_DEFAULTS = {
+    "interval": ({"kind": "interval", "half_length": 1.0}, {"n": 2048}),
+    "rectangle": ({"kind": "rectangle", "sides": [1.0, 1.0]}, {"n1": 2048, "n2": 2048}),
+    "disc": ({"kind": "disc", "radius": 1.0}, {"nr": 64, "ntheta": 128}),
+    "annulus": ({"kind": "annulus", "radii": [0.5, 1.0]}, {"nr": 64, "ntheta": 128}),
+}
+# the size and count flags: the block key each sets, its type, nargs and help
+_BLOCK_FLAGS = {
+    "--L": ("half_length", float, None, "interval half-length"),
+    "--sides": ("sides", float, 2, "rectangle side lengths"),
+    "--R": ("radius", float, None, "disc radius"),
+    "--radii": ("radii", float, 2, "annulus inner and outer radii"),
+    "--n": ("n", int, None, "interval nodes, or rectangle nodes per direction"),
+    "--nr": ("nr", int, None, "disc or annulus rings"),
+    "--ntheta": ("ntheta", int, None, "disc or annulus angles"),
+}
 # verify's verdict thresholds.  The constraint allowance is relative to
 # |Omega|: it covers sign-set quantization when a continuum solution is
 # sampled onto the grid (about one layer of boundary cells).
@@ -29,28 +43,20 @@ MAX_INTERIOR, MAX_BRACKET, MAX_FLUX, MAX_CONSTRAINT = 0.1, 1e-8, 1e-8, 0.02
 
 @dataclass
 class RunConfig:
-    """Solve-command parameters; round-trips losslessly through JSON."""
+    """Solve-command parameters; asdict less out is a report's config block."""
 
-    domain: str = "disc"
+    domain: dict = field(default_factory=lambda: dict(_DEFAULTS["disc"][0]))
+    resolution: dict = field(default_factory=lambda: dict(_DEFAULTS["disc"][1]))
     q: float = 1.0
-    half_length: float = 1.0
-    sides: list[float] | None = None
-    radius: float = 1.0
-    radii: list[float] | None = None
-    n: int = 2048
-    nr: int = 64
-    ntheta: int = 128
     seed: int = 0
     starts: int = 8
     max_iter: int = 20000
     grad_tol: float = 1e-6
     out: str = "out"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """The config of d, its keys' types checked, its floats stored as floats."""
         if not isinstance(d, dict):
             raise ValueError("a config must be a JSON object")
         types = {f.name: f.type for f in fields(cls)}
@@ -59,21 +65,7 @@ class RunConfig:
                 raise ValueError(f"unknown config key: {key!r}")
             if not _fits(value, types[key]):
                 raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
-        return cls(**d)
-
-    def domain_spec(self):
-        """The domain, from the field named after its kind's size parameter."""
-        from . import geometry
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"unknown domain: {self.domain!r}")
-        size = geometry._KINDS[self.domain][0]
-        value = getattr(self, size)
-        return geometry.DomainSpec(self.domain,
-                                   _SIZE_DEFAULTS.get(size) if value is None else value)
-
-    def resolution(self):
-        """n nodes per direction on an interval or rectangle, else (nr, ntheta)."""
-        return (self.nr, self.ntheta) if self.domain in ("disc", "annulus") else self.n
+        return cls(**{k: float(v) if types[k] == "float" else v for k, v in d.items()})
 
     def solve_config(self):
         """The SolveConfig made of this config's fields of the same names."""
@@ -82,12 +74,11 @@ class RunConfig:
 
 
 def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a RunConfig field annotated so (a bool is
-    no number)."""
-    if annotation == "list[float] | None":
-        return value is None or (isinstance(value, list)
-                                 and all(_fits(v, "float") for v in value))
-    return type(value) in {"str": (str,), "float": (int, float), "int": (int,)}[annotation]
+    """Whether a JSON value fits a RunConfig field annotated so: a bool is
+    no number, and a float field takes a finite one, an int in float range."""
+    fits = type(value) in {"str": (str,), "float": (int, float), "int": (int,),
+                           "dict": (dict,)}[annotation]
+    return fits and (annotation != "float" or abs(value) <= sys.float_info.max)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -119,14 +110,31 @@ def _diagnose(grid, u, q):
 
 
 def _setup(args):
-    """The run config (the --config file's values, each overridden by its
-    flag when given), its grid and its solve config."""
+    """The run config: the --config file's values, its blocks for its kind
+    alone, each overridden by its flag; its grid and its solve config."""
     from . import geometry
-    cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text()) if args.config else {})
+    given = json.loads(Path(args.config).read_text()) if args.config else {}
+    cfg = RunConfig.from_dict(given)
     for f in fields(RunConfig):
         if getattr(args, f.name, None) is not None:
             setattr(cfg, f.name, getattr(args, f.name))
-    return cfg, geometry.build_grid(cfg.domain_spec(), cfg.resolution()), cfg.solve_config()
+    kind = args.kind or geometry.DomainSpec.from_dict(cfg.domain).kind
+    domain, resolution = _DEFAULTS[kind]
+    own = kind == cfg.domain.get("kind")
+    cfg.domain = cfg.domain if own else dict(domain)
+    cfg.resolution = cfg.resolution if own and "resolution" in given else dict(resolution)
+    for flag, (key, *_) in _BLOCK_FLAGS.items():
+        value = getattr(args, key)
+        if value is None:
+            continue
+        names = ("n1", "n2") if (kind, key) == ("rectangle", "n") else (key,)
+        if not set(names) <= {*domain, *resolution}:
+            raise ValueError(f"{flag} does not apply to a {kind} domain")
+        for name in names:
+            (cfg.domain if name in domain else cfg.resolution)[name] = value
+    grid = geometry.grid_from_dict(vars(cfg))
+    cfg.domain, cfg.resolution = grid.domain.to_dict(), grid.resolution
+    return cfg, grid, cfg.solve_config()
 
 
 def cmd_solve(args) -> int:
@@ -144,12 +152,12 @@ def cmd_solve(args) -> int:
     diagnostics.write_zero_curve_csv(curve, out / "zero_curve.csv")
     _write_json(out / "diagnostics.json", diag)
     payload = report.to_dict(grid)
-    payload["config"] = {k: v for k, v in cfg.to_dict().items() if k != "out"}
+    payload["config"] = {k: v for k, v in asdict(cfg).items() if k != "out"}
     payload["field"] = "field.npy"
     payload["version"] = __version__
     _write_json(out / "report.json", payload)
 
-    print(f"domain={cfg.domain} q={cfg.q} energy={report.energy:.9e} "
+    print(f"domain={grid.kind} q={cfg.q} energy={report.energy:.9e} "
           f"iterations={report.iterations} converged={report.converged} "
           f"({elapsed:.2f}s)")
     print(f"wrote {out / 'report.json'}")
@@ -229,7 +237,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"report key 'field' must be a bare file name, got {name!r}")
         field_path = Path(args.report).parent / name
         u = geometry.read_field_csv(grid, field_path)
-        spec = functional.ProblemSpec(grid, float(report["q"]))
+        spec = functional.ProblemSpec(grid, report["q"])
         claimed = float(report["energy"])
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable dump: {exc!r}") from exc
@@ -276,26 +284,16 @@ def cmd_sweep(args) -> int:
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", choices=_DOMAINS, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--L", dest="half_length", type=float, default=None,
-                   help="interval half-length")
-    p.add_argument("--sides", type=float, nargs=2, default=None,
-                   help="rectangle side lengths")
-    p.add_argument("--R", dest="radius", type=float, default=None,
-                   help="disc radius")
-    p.add_argument("--radii", type=float, nargs=2, default=None,
-                   help="annulus inner and outer radii")
-    p.add_argument("--n", type=int, default=None, help="nodes per direction")
-    p.add_argument("--nr", type=int, default=None, help="radial rings")
-    p.add_argument("--ntheta", type=int, default=None, help="angular nodes")
+    p.add_argument("--domain", dest="kind", choices=_DEFAULTS, default=None)
+    for flag, (key, typ, nargs, text) in _BLOCK_FLAGS.items():
+        p.add_argument(flag, dest=key, type=typ, nargs=nargs, default=None, help=text)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file with RunConfig values")
+                   help="JSON file of the keys a report's config block holds")
 
 
 @functools.cache
@@ -307,6 +305,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="minimize the constrained energy")
+    p_solve.add_argument("--q", type=float, default=None)
     _add_solve_args(p_solve)
 
     p_rad = sub.add_parser("radial", help="radial two-point solve and bounds")
@@ -322,7 +321,8 @@ def _parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a stored field against its report")
     p_ver.add_argument("report", type=str, help="path to a solve report JSON")
 
-    p_swp = sub.add_parser("sweep", help="exponent continuation study")
+    # sweep takes no --q, which argparse would otherwise read as --q-list
+    p_swp = sub.add_parser("sweep", help="exponent continuation study", allow_abbrev=False)
     p_swp.add_argument("--q-list", type=str, required=True,
                        help="descending comma-separated exponents in [1, 2)")
     _add_solve_args(p_swp)

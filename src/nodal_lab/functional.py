@@ -39,6 +39,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not 1.0 <= self.q < 2.0:
             raise ValueError(f"q-out-of-range: need 1 <= q < 2, got {self.q}")
+        object.__setattr__(self, "q", float(self.q))
 
 
 def signed_power(u: np.ndarray, p: float) -> np.ndarray:

@@ -8,13 +8,13 @@ tau = face/length, so minimizers of the discrete energy satisfy the natural
 zero-flux boundary condition automatically; no boundary terms are ever
 assembled.
 
-build_grid makes every grid, those of grid_from_dict, the command line's
-RunConfig and coarsen too, so its node-count checks hold for all of them.  One neighbour walk (_walk) serves the Dirichlet energy, edge_form,
-laplacian, gradient_magnitude and the diagnostics' quantization floor and
-nodal-domain labelling; no edge list is stored.  The axis node positions a
-grid stores are what prolong and the symmetry diagnostics read.  Exact
-reflections, which no command needs, live in tests/conftest.py as the
-reference the tests hold the polarization defect to.
+build_grid makes every grid, those of grid_from_dict and coarsen too, so its
+node-count checks hold for all of them.  One neighbour walk (_walk) serves the
+Dirichlet energy, edge_form, laplacian, gradient_magnitude and the
+diagnostics' quantization floor and nodal-domain labelling; no edge list is
+stored.  The axis node positions a grid stores are what prolong and the
+symmetry diagnostics read.  Exact reflections, which no command needs, live in
+tests/conftest.py as the reference the tests hold the polarization defect to.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class DomainSpec:
     size: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"invalid-spec: unknown domain kind {self.kind!r}")
         key, count, _ = _KINDS[self.kind]
         values = list(self.size) if isinstance(self.size, (tuple, list)) else [self.size]
@@ -100,8 +100,8 @@ class DomainSpec:
     def from_dict(cls, d: dict) -> "DomainSpec":
         """The spec of to_dict's dict: the value under the kind's size key,
         which with "kind" must be its only key."""
-        kind = d["kind"]
-        key = _KINDS[kind][0] if kind in _KINDS else None
+        kind = d.get("kind")
+        key = _KINDS[kind][0] if isinstance(kind, str) and kind in _KINDS else None
         if key is not None and set(d) != {"kind", key}:
             raise ValueError(f"invalid-spec: a {kind} domain holds kind and {key} "
                              f"alone, got {sorted(d)}")

@@ -370,7 +370,7 @@ def continuation_sweep(grid, q_list, config: SolveConfig) -> list[SolveReport]:
     from a q > 1 minimizer, the constraint switches from the signed mean to
     the sign balance: that rung's report has recipe "warm-start" and
     constraint "sign-balance", and the previous rung's q is above 1."""
-    specs = [ProblemSpec(grid, float(q)) for q in q_list]
+    specs = [ProblemSpec(grid, q) for q in q_list]
     if not specs:
         raise ValueError("continuation needs at least one exponent")
     qs = [spec.q for spec in specs]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -29,9 +30,9 @@ def run_child(*args):
 
 
 def test_config_roundtrip():
-    cfg = RunConfig(domain="annulus", q=1.25, radii=[0.3, 0.9], nr=16,
-                    ntheta=32, seed=5)
-    again = RunConfig.from_dict(cfg.to_dict())
+    cfg = RunConfig(domain={"kind": "annulus", "radii": [0.3, 0.9]}, q=1.25,
+                    resolution={"nr": 16, "ntheta": 32}, seed=5)
+    again = RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 
@@ -48,21 +49,65 @@ def test_run_config_defaults_are_the_solvers():
 
 def test_config_with_removed_stall_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"domain": "interval", "energy_tol": 1e-11}')
+    cfg.write_text('{"domain": {"kind": "interval", "half_length": 1.0}, "energy_tol": 1e-11}')
     assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 1
     assert "unknown config key: 'energy_tol'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-def test_domain_spec_defaults():
-    assert RunConfig(domain="interval").domain_spec() == geo.DomainSpec.interval(1.0)
-    assert RunConfig(domain="rectangle").domain_spec() == geo.DomainSpec.rectangle(1.0, 1.0)
-    assert RunConfig(domain="disc").domain_spec() == geo.DomainSpec.disc(1.0)
-    assert RunConfig(domain="annulus").domain_spec() == geo.DomainSpec.annulus(0.5, 1.0)
-    assert RunConfig(domain="rectangle", sides=[2.0, 1.0]).domain_spec() == \
-        geo.DomainSpec.rectangle(2.0, 1.0)
-    with pytest.raises(ValueError, match="unknown domain"):
-        RunConfig(domain="hexagon").domain_spec()
+def test_domain_spec_defaults(tmp_path, capsys):
+    # with no size flag each kind runs on its default size, which its
+    # report's config block records as its domain block does; a config
+    # file's domain and resolution hold for its own kind alone, and a file
+    # with no resolution takes its kind's default counts
+    given = tmp_path / "disc.json"
+    given.write_text('{"domain": {"kind": "disc", "radius": 2.0}, '
+                     '"resolution": {"nr": 16, "ntheta": 32}}')
+    sized = tmp_path / "annulus.json"
+    sized.write_text('{"domain": {"kind": "annulus", "radii": [0.25, 1]}}')
+    for name, args, domain, resolution in (
+            ("interval", ["--domain", "interval", "--n", 64],
+             {"kind": "interval", "half_length": 1.0}, {"n": 64}),
+            ("rectangle", ["--domain", "rectangle", "--n", 16],
+             {"kind": "rectangle", "sides": [1.0, 1.0]}, {"n1": 16, "n2": 16}),
+            ("disc", ["--nr", 8, "--ntheta", 16],
+             {"kind": "disc", "radius": 1.0}, {"nr": 8, "ntheta": 16}),
+            ("annulus", ["--domain", "annulus", "--nr", 8, "--ntheta", 16],
+             {"kind": "annulus", "radii": [0.5, 1.0]}, {"nr": 8, "ntheta": 16}),
+            ("sides", ["--domain", "rectangle", "--sides", 2, 1, "--n", 16],
+             {"kind": "rectangle", "sides": [2.0, 1.0]}, {"n1": 16, "n2": 16}),
+            ("other-kind", ["--config", given, "--domain", "annulus", "--ntheta", 16],
+             {"kind": "annulus", "radii": [0.5, 1.0]}, {"nr": 64, "ntheta": 16}),
+            ("no-resolution", ["--config", sized, "--ntheta", 16],
+             {"kind": "annulus", "radii": [0.25, 1.0]}, {"nr": 64, "ntheta": 16})):
+        assert run(["solve", *args, "--starts", 1, "--out", tmp_path / name]) == 0, name
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["config"]["domain"] == report["domain"] == domain, name
+        assert report["config"]["resolution"] == report["resolution"] == resolution, name
+    given.write_text('{"domain": {"kind": "hexagon", "radius": 1.0}}')
+    capsys.readouterr()
+    assert run(["solve", "--config", given, "--out", tmp_path / "hexagon"]) == 1
+    assert "unknown domain kind 'hexagon'" in capsys.readouterr().err
+    assert not (tmp_path / "hexagon").exists()
+
+
+@pytest.mark.parametrize("args, flag, kind", [
+    # the sizes and counts of three kinds: the run reads the disc's alone
+    (["--domain", "disc", "--q", 1, "--n", 512, "--sides", 3, 3, "--nr", 16,
+      "--ntheta", 32], "--sides", "disc"),
+    (["--domain", "disc", "--n", 512, "--nr", 16, "--ntheta", 32], "--n", "disc"),
+    (["--domain", "interval", "--nr", 16], "--nr", "interval"),
+    (["--domain", "rectangle", "--n", 16, "--R", 2], "--R", "rectangle"),
+    (["--domain", "annulus", "--L", 2], "--L", "annulus"),
+    (["--n", 64], "--n", "disc"),
+])
+def test_size_or_count_of_another_kind_exits_one(tmp_path, capsys, args, flag, kind):
+    commands = [["solve"]] if "--q" in args else [["solve"], ["sweep", "--q-list", "1.5"]]
+    for command in commands:
+        assert run([*command, *args, "--starts", 1, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flag} does not apply to a {kind} domain"], err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -71,6 +116,7 @@ def test_domain_spec_defaults():
     ["radial", "--N", "x"],                                 # malformed --N
     ["verify", "report.json", "--max-interior", "1"],       # removed threshold flag
     ["solve", "--energy-tol", "1e-9"],                      # removed stall stop
+    ["sweep", "--q-list", "1.5", "--q", "1.3"],             # sweep reads no --q
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1
@@ -103,15 +149,26 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
 
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"domain": "disc", "qq": 3}')
+    bad.write_text('{"domain": {"kind": "disc", "radius": 1.0}, "qq": 3}')
     code = run(["solve", "--config", bad, "--out", tmp_path / "o"])
     assert code == 1
     assert "qq" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", ['{"domain": "rectangle", "sides": 5}',
-                                    '{"domain": "disc", "radius": [1, 2]}',
-                                    '{"domain": "disc", "q": "1.5"}'])
+@pytest.mark.parametrize("config", [
+    '{"domain": {"kind": "rectangle", "sides": 5}}',
+    '{"domain": {"kind": "disc", "radius": [1, 2]}}',
+    '{"domain": {"kind": "disc", "radius": 1.0}, "q": "1.5"}',
+    # a size key of another kind, a resolution of another kind
+    '{"domain": {"kind": "disc", "sides": [1, 1]}}',
+    '{"domain": {"kind": "disc", "radius": 1}, "resolution": {"n": 16}}',
+    # the flat schema of earlier versions, and a domain with no kind
+    '{"domain": "disc", "radius": 1}',
+    '{"domain": {"radius": 1}}',
+    # an int no float holds
+    '{"q": 1%s}' % ("0" * 400),
+], ids=["one-side", "two-radii", "string-q", "size-of-another-kind",
+        "resolution-of-another-kind", "flat-schema", "no-kind", "int-beyond-float"])
 def test_config_of_wrong_count_or_type_exits_one(tmp_path, config):
     # a wrong count or type of values is a config error, not a TypeError
     bad = tmp_path / "bad.json"
@@ -120,12 +177,14 @@ def test_config_of_wrong_count_or_type_exits_one(tmp_path, config):
         res = run_child("-m", "nodal_lab.cli", *command, "--config", bad,
                         "--out", tmp_path / "o")
         assert res.returncode == 1
-        assert res.stderr.startswith("error:")
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("args", [
-    ["--config", '{"domain": "disc", "radius": NaN, "nr": 8, "ntheta": 16, "starts": 1}'],
+    ["--config", '{"domain": {"kind": "disc", "radius": NaN}, '
+                 '"resolution": {"nr": 8, "ntheta": 16}, "starts": 1}'],
     ["--domain", "interval", "--L", "inf", "--n", 16, "--starts", 1],
 ])
 def test_non_finite_size_exits_one(tmp_path, args):
@@ -205,6 +264,40 @@ def test_solve_deterministic_bytes(tmp_path, args):
     assert files == output_bytes(tmp_path / "b")
 
 
+@pytest.mark.parametrize("args", [
+    ["--domain", "interval", "--L", 2, "--q", 1.25, "--n", 64, "--seed", 9, "--starts", 2],
+    ["--domain", "rectangle", "--sides", 2, 1, "--q", 1, "--n", 16, "--starts", 2],
+    ["--domain", "disc", "--R", 1.5, "--q", 1.5, "--nr", 16, "--ntheta", 32, "--starts", 2,
+     "--grad-tol", 1e-7],
+    ["--domain", "annulus", "--radii", 0.3, 0.9, "--q", 1, "--nr", 16, "--ntheta", 32,
+     "--starts", 2, "--max-iter", 5000],
+], ids=["interval", "rectangle", "disc", "annulus"])
+def test_solve_replays_from_its_report_config(tmp_path, args):
+    # a report's config block, as a --config file, is the run's whole recipe
+    assert run(["solve", *args, "--out", tmp_path / "a"]) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(report["config"]))
+    assert run(["solve", "--config", recipe, "--out", tmp_path / "b"]) == 0
+    files = output_bytes(tmp_path / "a")
+    assert set(files) == {"report.json", "field.npy", "diagnostics.json", "zero_curve.csv"}
+    assert files == output_bytes(tmp_path / "b")
+
+
+def test_integer_q_and_grad_tol_write_as_their_flags_do(tmp_path):
+    # the same recipe writes the same bytes, from flags or from a config
+    # file whose q and grad_tol are JSON integers
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text('{"domain": {"kind": "interval", "half_length": 1}, '
+                      '"resolution": {"n": 64}, "q": 1, "grad_tol": 1, "starts": 1}')
+    assert run(["solve", "--config", recipe, "--out", tmp_path / "a"]) == 0
+    assert run(["solve", "--domain", "interval", "--L", 1, "--n", 64, "--q", 1,
+                "--grad-tol", 1, "--starts", 1, "--out", tmp_path / "b"]) == 0
+    files = output_bytes(tmp_path / "a")
+    assert '"q": 1.0' in files["report.json"].decode()
+    assert files == output_bytes(tmp_path / "b")
+
+
 def test_solve_output_schema(tmp_path):
     # the JSON blocks are derived from dataclasses; pinning their keys keeps
     # a timing or array field from leaking into the byte-compared --out
@@ -218,8 +311,7 @@ def test_solve_output_schema(tmp_path):
         "levels", "near_best", "q", "recipe", "resolution", "seed", "stop_reason",
         "version"}
     assert set(report["config"]) == {
-        "domain", "grad_tol", "half_length", "max_iter", "n", "nr",
-        "ntheta", "q", "radii", "radius", "seed", "sides", "starts"}
+        "domain", "grad_tol", "max_iter", "q", "resolution", "seed", "starts"}
     assert {k for row in report["near_best"] for k in row} == {
         "energy", "recipe", "seed", "start"}
     assert {k for row in report["levels"] for k in row} == {
@@ -324,6 +416,14 @@ def test_solve_leaves_scipy_optimize_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [lines[0], *lines[-2:]] == ["[]", "[0, 0, 0, 0] []", "True"]
+
+
+def test_cli_import_leaves_numpy_unimported():
+    # the command line imports numpy only inside the commands that use it, so
+    # --help, usage errors and RunConfig's defaults load no numpy
+    proc = run_child("-c", "import sys, nodal_lab.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
 
 
 def test_radial_and_bounds_leave_scipy_unimported(tmp_path):

@@ -19,6 +19,8 @@ def test_problem_spec_validation(disc_grid):
         fn.ProblemSpec(disc_grid, 2.0)
     with pytest.raises(ValueError):
         fn.ProblemSpec(disc_grid, 0.5)
+    # an integral exponent is stored as a float, as the --q flag gives it
+    assert type(fn.ProblemSpec(disc_grid, 1).q) is float
 
 
 def test_energy_zero_field(disc_grid):
